@@ -45,24 +45,13 @@ DEFAULT_DRIFT_TOLERANCE = 0.05
 WALLTIME_WARN_RATIO = 2.0
 
 #: Run-context keys that must match for drift comparison to be meaningful.
-#: ``engine`` selects the simulation driver (reference per-cycle loop vs
-#: the batch-stepped fast engine); the two are byte-identical in metrics
-#: by contract but wildly different in wall time, so mixed-engine drift
-#: comparison of wall times would be meaningless.
-CONTEXT_KEYS = ("threads", "scale", "seed", "engine")
+#: Any other context key (such as the ``engine`` that older trajectories
+#: carry) is ignored.
+CONTEXT_KEYS = ("threads", "scale", "seed")
 
 
-def _normalize_context(context: Dict[str, Any]) -> Dict[str, Any]:
-    """Fill context defaults for records that predate newer knobs.
-
-    Trajectories and baselines recorded before the ``engine`` knob
-    existed are reference-engine runs; making that explicit keeps old
-    baselines comparable instead of tripping the context-mismatch skip.
-    """
-    normalized = {key: context.get(key) for key in CONTEXT_KEYS}
-    if normalized.get("engine") is None:
-        normalized["engine"] = "reference"
-    return normalized
+def _run_context(context: Dict[str, Any]) -> Dict[str, Any]:
+    return {key: context.get(key) for key in CONTEXT_KEYS}
 
 
 @dataclass(frozen=True)
@@ -144,10 +133,6 @@ class GateReport:
             for finding in passing:
                 lines.append("  " + finding.render())
         return "\n".join(lines) + "\n"
-
-
-def _run_context(run: Dict[str, Any]) -> Dict[str, Any]:
-    return _normalize_context(run)
 
 
 def _contexts_by_label(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
@@ -301,7 +286,7 @@ def _drift_findings(
         if (
             base_context
             and context
-            and _normalize_context(base_context) != context
+            and _run_context(base_context) != context
         ):
             findings.append(
                 GateFinding(

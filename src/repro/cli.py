@@ -563,23 +563,6 @@ def cmd_verify(args) -> int:
     return 0 if sweep.passed else 1
 
 
-def cmd_engine(args) -> int:
-    from repro.sim.fastpath.diff import bisect_divergence
-    from repro.sim.simulator import Simulator
-
-    scheme = Scheme.parse(args.scheme)
-    traces = _traces(args)
-    base_config = _config(args)
-
-    def build(engine: str) -> Simulator:
-        return Simulator(base_config.replace(engine=engine), scheme, traces)
-
-    progress = None if args.quiet else (lambda line: print(line))
-    diff = bisect_divergence(build, progress=progress)
-    print(diff.summary())
-    return 0 if diff.identical else 1
-
-
 def cmd_bench(args) -> int:
     import json
     from pathlib import Path
@@ -927,22 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report estimates even when a CI exceeds the threshold",
     )
     snapshot_parser.set_defaults(func=cmd_snapshot)
-
-    engine_parser = subparsers.add_parser(
-        "engine",
-        help="fast-engine tools: bisect reference-vs-fast divergence",
-    )
-    engine_sub = engine_parser.add_subparsers(dest="action", required=True)
-    engine_diff_parser = engine_sub.add_parser(
-        "diff",
-        help="run both engines and bisect the first divergent cycle",
-    )
-    _add_workload_args(engine_diff_parser)
-    engine_diff_parser.add_argument("--scheme", default="Proteus")
-    engine_diff_parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-probe progress"
-    )
-    engine_diff_parser.set_defaults(func=cmd_engine)
 
     bench_parser = subparsers.add_parser(
         "bench",

@@ -84,16 +84,8 @@ class CellSpec:
     # -- identity ---------------------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
-        """Canonical JSON-ready description (everything but code version).
-
-        The engine selection is part of the cell's *identity* even though
-        it is excluded from the serialized machine configuration: a
-        fast-path result must never satisfy a reference-path cache lookup
-        (nor vice versa), and a fast-path entry must also go stale when
-        the fastpath implementation changes, so the fastpath's own version
-        tag is folded in whenever ``engine == "fast"``.
-        """
-        body = {
+        """Canonical JSON-ready description (everything but code version)."""
+        return {
             "schema": CACHE_SCHEMA_VERSION,
             "workload": self.workload,
             "scheme": self.scheme.value,
@@ -104,13 +96,7 @@ class CellSpec:
             "sim_ops": self.sim_ops,
             "workload_kwargs": [list(pair) for pair in self.workload_kwargs],
             "max_cycles": self.max_cycles,
-            "engine": self.config.engine,
         }
-        if self.config.engine == "fast":
-            from repro.sim.fastpath import FASTPATH_VERSION
-
-            body["fastpath_version"] = FASTPATH_VERSION
-        return body
 
     def digest(self, code_version: Optional[str] = None) -> str:
         """Stable content hash of this cell (the cache key)."""
@@ -171,17 +157,8 @@ class CellSpec:
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
-    """Full field-by-field dict of a machine configuration.
-
-    The ``engine`` selector is deliberately excluded: it chooses a
-    simulation *driver*, not a machine, and the equivalence harness
-    guarantees both drivers produce identical results — so serialized
-    results and machine snapshots stay byte-identical across engines.
-    Cache keys re-add the engine explicitly in :meth:`CellSpec.describe`.
-    """
-    data = dataclasses.asdict(config)
-    data.pop("engine", None)
-    return data
+    """Full field-by-field dict of a machine configuration."""
+    return dataclasses.asdict(config)
 
 
 def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
@@ -195,7 +172,6 @@ def config_from_dict(data: Mapping[str, Any]) -> SystemConfig:
         memory=MemoryConfig(**data["memory"]),
         proteus=ProteusConfig(**data["proteus"]),
         atom=AtomConfig(**data["atom"]),
-        engine=str(data.get("engine", "reference")),
     )
 
 

@@ -184,23 +184,9 @@ class AtomConfig:
         _require_positive(self, "tracker_entries", "source_log_latency")
 
 
-#: Valid values for :attr:`SystemConfig.engine`.
-ENGINES = ("reference", "fast")
-
-
 @dataclass
 class SystemConfig:
-    """Complete machine description.
-
-    ``engine`` selects the simulation driver, not the machine: the
-    ``reference`` engine ticks every model once per cycle; the ``fast``
-    engine (:mod:`repro.sim.fastpath`) advances the same machine in
-    multi-cycle quanta.  Both produce byte-identical Stats and snapshot
-    state, which the equivalence harness enforces, so the knob never
-    appears in snapshot serializations — it *does* enter sweep cache
-    keys (see :mod:`repro.parallel.cellspec`) so results from the two
-    drivers are never conflated.
-    """
+    """Complete machine description."""
 
     cores: int = 4
     core: CoreConfig = field(default_factory=CoreConfig)
@@ -210,15 +196,9 @@ class SystemConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     proteus: ProteusConfig = field(default_factory=ProteusConfig)
     atom: AtomConfig = field(default_factory=AtomConfig)
-    engine: str = "reference"
 
     def __post_init__(self) -> None:
         _require_positive(self, "cores")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"SystemConfig.engine must be one of {ENGINES}, "
-                f"got {self.engine!r}"
-            )
 
     def replace(self, **kwargs) -> "SystemConfig":
         """Return a copy with top-level fields replaced."""

@@ -236,9 +236,7 @@ def run_sampled(
         warm_traces = [
             workload.generate_segment(params.warmup_ops) for workload in workloads
         ]
-        sim = restore_machine(
-            checkpoint.machine, warm_traces, engine=cell.config.engine
-        )
+        sim = restore_machine(checkpoint.machine, warm_traces)
         sim.run(max_cycles=cell.max_cycles)
         cycles_before = sim.engine.cycle
         counters_before = dict(sim.stats.counters)

@@ -197,38 +197,20 @@ def test_context_mismatch_skips_not_fails():
     assert not [f for f in report.failures if f.check == "drift"]
 
 
-def test_engine_context_mismatch_skips_drift():
-    """Reference-engine baselines are not wall-time-comparable to
-    fast-engine runs, so drift comparison skips rather than fails."""
+def test_legacy_engine_context_key_is_ignored():
+    """Older trajectories record ``"engine": "reference"`` in their run
+    context; drift comparison still gates them against a baseline
+    without the key, and the key never reaches a new baseline."""
     doc = make_doc()
     baseline = build_baseline(doc)
-    fast = make_doc(
-        context={"threads": 4, "scale": 1.0, "seed": 7, "engine": "fast"}
-    )
-    report = run_gate(fast, baseline=baseline)
-    skips = [f for f in report.findings if f.status == "SKIP"]
-    assert skips and all(f.check == "drift" for f in skips)
-    assert not [f for f in report.failures if f.check == "drift"]
-
-
-def test_pre_engine_baseline_stays_comparable():
-    """Baselines recorded before the engine knob existed (no ``engine``
-    key in their context) normalize to reference and still gate drift."""
-    doc = make_doc()
-    baseline = build_baseline(doc)
-    for entry in baseline["figures"].values():
-        assert entry["context"].get("engine") == "reference"
-        # Simulate an old committed file (entries may share one context
-        # dict, so replace rather than pop in place).
-        entry["context"] = {
-            k: v for k, v in entry["context"].items() if k != "engine"
-        }
-    explicit = make_doc(
+    legacy = make_doc(
         context={"threads": 4, "scale": 1.0, "seed": 7, "engine": "reference"}
     )
-    report = run_gate(explicit, baseline=baseline)
+    report = run_gate(legacy, baseline=baseline)
     drift = [f for f in report.findings if f.check == "drift"]
     assert drift and all(f.status == "PASS" for f in drift)
+    for entry in build_baseline(legacy)["figures"].values():
+        assert "engine" not in entry["context"]
 
 
 def test_new_metric_warns_not_fails():

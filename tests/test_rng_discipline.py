@@ -11,8 +11,9 @@ draws from it.  This test walks the AST of every source file under
   the ``random`` import itself are the sanctioned uses;
 * ``from random import <stateful function>`` imports, which alias the
   same hidden global state;
-* any ``numpy.random`` usage — numpy is not a dependency here, and its
-  global generator would be invisible to the snapshot format.
+* any ``numpy`` import and any ``numpy.random`` usage — numpy is not a
+  dependency here, and its global generator would be invisible to the
+  snapshot format.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ ALLOWED_RANDOM_ATTRS = {"Random"}
 
 
 def rng_violations(source: str, filename: str = "<string>") -> List[Tuple[int, str]]:
-    """(line, description) for every ambient-RNG use in ``source``."""
+    """(line, description) for every ambient-RNG use or numpy import in
+    ``source``."""
     problems: List[Tuple[int, str]] = []
     for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.Attribute):
@@ -57,13 +59,13 @@ def rng_violations(source: str, filename: str = "<string>") -> List[Tuple[int, s
                     for alias in node.names
                     if alias.name not in ALLOWED_RANDOM_ATTRS
                 )
-            elif node.module and node.module.split(".")[:2] == ["numpy", "random"]:
+            elif node.module and node.module.split(".")[0] == "numpy":
                 problems.append((node.lineno, f"from {node.module} import ..."))
         elif isinstance(node, ast.Import):
             problems.extend(
                 (node.lineno, f"import {alias.name}")
                 for alias in node.names
-                if alias.name.split(".")[:2] == ["numpy", "random"]
+                if alias.name.split(".")[0] == "numpy"
             )
     return problems
 
@@ -73,8 +75,10 @@ def test_auditor_catches_known_violations():
         [
             "import random",
             "import numpy.random",
+            "import numpy as np",
             "from random import shuffle",
             "from numpy.random import default_rng",
+            "from numpy import zeros",
             "x = random.randrange(4)",
             "y = numpy.random.rand()",
         ]
@@ -82,8 +86,10 @@ def test_auditor_catches_known_violations():
     found = {what for _, what in rng_violations(bad)}
     assert found == {
         "import numpy.random",
+        "import numpy",
         "from random import shuffle",
         "from numpy.random import ...",
+        "from numpy import ...",
         "random.randrange",
         "numpy.random.rand",
     }
@@ -112,6 +118,7 @@ def test_no_ambient_rng_in_package():
                 f"{source.relative_to(PACKAGE_ROOT)}:{lineno}: {what}"
             )
     assert problems == [], (
-        "module-level RNG state breaks snapshot determinism:\n  "
+        "module-level RNG state and numpy imports break snapshot "
+        "determinism:\n  "
         + "\n  ".join(problems)
     )

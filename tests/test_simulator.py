@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.sim.config import fast_nvm_config
+from repro.sim.engine import SimulationHalted
 from repro.sim.simulator import SimResult, Simulator, run_trace, run_workload
 from repro.workloads.queue_wl import QueueWorkload
 from repro.workloads.base import generate_traces
@@ -154,3 +155,25 @@ def test_config_replace_helpers():
     assert mem.memory.write_latency == 1234
     described = config.describe()
     assert "cores" in described and described["cores"] == "2"
+
+
+def _halted_run(halt_cycle):
+    traces = generate_traces(QueueWorkload, threads=1, seed=7, init_ops=32, sim_ops=10)
+    sim = Simulator(fast_nvm_config(cores=1), Scheme.PROTEUS, traces)
+    sim.engine.halt_at_cycle(halt_cycle)
+    with pytest.raises(SimulationHalted) as excinfo:
+        sim.run()
+    return sim, excinfo.value
+
+
+@pytest.mark.parametrize("halt_cycle", (1000, 7777, 20000))
+def test_mid_run_halt_is_exact_and_deterministic(halt_cycle):
+    """A halt (the fault injector's entry point) stops the run at exactly
+    the requested cycle, and two identical runs halt with equal counters
+    created in the same order."""
+    first_sim, first_halt = _halted_run(halt_cycle)
+    second_sim, _ = _halted_run(halt_cycle)
+    assert first_halt.cycle == halt_cycle
+    assert first_sim.engine.cycle == halt_cycle
+    assert dict(first_sim.stats.counters) == dict(second_sim.stats.counters)
+    assert list(first_sim.stats.counters) == list(second_sim.stats.counters)

@@ -137,77 +137,3 @@ def test_snapshot_is_a_copy():
     snap = stats.snapshot()
     snap["x"] = 99
     assert stats.get("x") == 1
-
-
-# ---------------------------------------------------------------------------
-# add_scaled: the fast engine's quantum-merge primitive
-# ---------------------------------------------------------------------------
-
-
-def test_add_scaled_matches_per_cycle_adds():
-    """Replaying a recorded stall delta across a quantum must be
-    indistinguishable from ticking the counters cycle by cycle."""
-    delta = {"stall.rob": 1, "stall.mshr": 2}
-    per_cycle = Stats()
-    for _ in range(137):
-        for name, value in delta.items():
-            per_cycle.add(name, value)
-    per_quantum = Stats()
-    per_quantum.add_scaled(delta, 137)
-    assert per_quantum.snapshot() == per_cycle.snapshot()
-    # Creation order is part of byte identity.
-    assert list(per_quantum.counters) == list(per_cycle.counters)
-
-
-def test_add_scaled_default_times_is_one():
-    stats = Stats()
-    stats.add_scaled({"x": 3})
-    assert stats.get("x") == 3
-
-
-def test_add_scaled_zero_times_still_touches_counters():
-    """A zero-width quantum boundary must leave the same footprint as a
-    per-cycle loop that ran zero times *after the key exists*: the keys
-    in the delta are touched (present at 0), never silently dropped."""
-    stats = Stats()
-    stats.add_scaled({"stall.sb": 1}, 0)
-    assert "stall.sb" in stats.snapshot()
-    assert stats.snapshot()["stall.sb"] == 0
-    assert stats.get("stall.sb") == 0
-
-
-def test_add_scaled_rejects_negative_times():
-    with pytest.raises(ValueError):
-        Stats().add_scaled({"x": 1}, -1)
-
-
-def test_add_scaled_then_set_max_never_set_vs_zero():
-    """Quantum-boundary edge: a counter created at value 0 by a scaled
-    replay is 'observed', so a later set_max(0-or-negative) must not
-    re-stick — while on a fresh Stats the first set_max always sticks."""
-    replayed = Stats()
-    replayed.add_scaled({"occ": 0}, 5)  # touched, value 0
-    replayed.set_max("occ", -2)  # 'occ' exists at 0; -2 must not win
-    assert replayed.snapshot()["occ"] == 0
-
-    fresh = Stats()
-    fresh.set_max("occ", -2)  # first observation sticks on fresh stats
-    assert fresh.snapshot()["occ"] == -2
-
-
-def test_set_max_across_quantum_boundary_matches_per_cycle():
-    """A high-water mark observed mid-quantum must survive a merge that
-    also replays additive deltas around it (the driver wakes a sleeper
-    before any set_max can fire, so the mark is applied directly)."""
-    per_cycle = Stats()
-    for occupancy in (3, 7, 5):
-        per_cycle.set_max("wpq.max_occupancy", occupancy)
-        per_cycle.add("wpq.admitted")
-    merged = Stats()
-    merged.set_max("wpq.max_occupancy", 3)
-    merged.add("wpq.admitted")
-    merged.set_max("wpq.max_occupancy", 7)
-    merged.add_scaled({"wpq.admitted": 1}, 2)
-    merged.set_max("wpq.max_occupancy", 5)
-    assert merged.snapshot() == per_cycle.snapshot()
-    assert list(merged.counters) == list(per_cycle.counters)
