@@ -53,9 +53,9 @@ FAULT_MODES = (
 CLEAN_MODES = ("none", "reorder", "stuck")
 
 #: Modes that manufacture durability violations; the campaign passes only
-#: when recovery checking *detects* them.  The log/flag drops also have
-#: static analogs that ``persist-lint`` must flag (see
-#: :mod:`repro.lint.crossval`).
+#: when recovery checking *detects* them.  Modes expressible as stream
+#: mutations also have static analogs that the model checker and
+#: ``persist-lint`` must both catch (see :mod:`repro.verify.crossval`).
 VIOLATION_MODES = tuple(mode for mode in FAULT_MODES if mode not in CLEAN_MODES)
 
 #: Friendly CLI spellings for the paper's workload abbreviations.

@@ -147,8 +147,8 @@ class ThreadFunctional:
     def covering_blocks(self, tx_index: int, line: int) -> FrozenSet[int]:
         """Log-from blocks of transaction ``tx_index`` whose entries
         overlap ``line`` (all of them must be durable for the line to be
-        eligible as an in-flight durable line — the same rule the
-        exhaustive checker's ``_eligible_lines`` applies)."""
+        eligible as an in-flight durable line — the same rule
+        :func:`repro.persistence.crash.crash_image` enforces)."""
         key = (tx_index, line)
         cached = self._covering_cache.get(key)
         if cached is not None:

@@ -8,9 +8,10 @@ transactional line persisted by its commit point, and well-formed
 transaction/logging-pair structure.
 
 The analyzer is the static complement of the fault-injection campaigns
-(``repro.faults``): every deliberate-violation fault mode has a trace
-mutation whose lint verdict is known (see :mod:`repro.lint.crossval`),
-so the two checkers validate each other.
+(``repro.faults``): every deliberate-violation fault mode that is
+expressible in the stream has a trace mutation whose lint verdict is
+known (see :mod:`repro.verify.crossval`), so the checkers validate each
+other.
 
 Public API::
 

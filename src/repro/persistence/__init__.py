@@ -14,7 +14,6 @@ were durable at the crash) are explicit parameters, which makes the
 model ideal for property-based testing with hypothesis.
 """
 
-from repro.persistence.checker import CheckResult, check_trace, check_workload
 from repro.persistence.crash import (
     CrashImage,
     CrashPoint,
@@ -39,7 +38,6 @@ from repro.persistence.recovery import (
 )
 
 __all__ = [
-    "CheckResult",
     "CrashImage",
     "CrashPoint",
     "FunctionalTx",
@@ -50,8 +48,6 @@ __all__ = [
     "RecoveryVerdict",
     "check_recovery",
     "build_functional_txs",
-    "check_trace",
-    "check_workload",
     "crash_image",
     "image_after",
     "images_equal",

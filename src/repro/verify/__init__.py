@@ -9,9 +9,9 @@ recovery procedure restores a transaction-consistent image, no sealed
 commit is lost, and no uncommitted transaction survives.  It shares its
 recovery predicate with the dynamic fault campaign
 (:func:`repro.persistence.recovery.check_recovery`), and
-:mod:`repro.verify.crossval` closes the loop by asserting the static
-checker subsumes every campaign-detectable fault mode that has a stream
-analog.
+:mod:`repro.verify.crossval` closes the loop: for every campaign fault
+mode that has a stream analog, both the checker and ``persist-lint``
+must catch the mutated stream.
 """
 
 from repro.verify.checker import (
@@ -23,12 +23,15 @@ from repro.verify.checker import (
     verify_workload,
 )
 from repro.verify.crossval import (
-    ANALOG_MUTATORS,
+    STREAM_ANALOGS,
     CrossValCase,
     CrossValResult,
+    StaticVerdict,
+    StreamAnalog,
     analog_for,
     cross_validate,
     dynamic_only_reason,
+    static_verdict,
 )
 from repro.verify.frontier import (
     Frontier,
@@ -48,7 +51,6 @@ from repro.verify.report import (
 )
 
 __all__ = [
-    "ANALOG_MUTATORS",
     "CheckReport",
     "CrossValCase",
     "CrossValResult",
@@ -56,6 +58,9 @@ __all__ = [
     "Finding",
     "Frontier",
     "LineHistory",
+    "STREAM_ANALOGS",
+    "StaticVerdict",
+    "StreamAnalog",
     "StreamState",
     "VERIFY_RULES",
     "analog_for",
@@ -70,6 +75,7 @@ __all__ = [
     "render_text",
     "report_dict",
     "sample_frontiers",
+    "static_verdict",
     "verify_instruction_trace",
     "verify_op_traces",
     "verify_to_sarif",

@@ -1,22 +1,24 @@
-"""Static <-> dynamic cross-validation for the model checker.
+"""Static <-> dynamic cross-validation of the crash-correctness pipeline.
 
 The fault campaign (:mod:`repro.faults`) injects durability violations
 *dynamically* — dropping WPQ/LPQ admissions on a timing machine — and
-detection comes from recovery checking at sampled crash points.  The
-model checker proves the complementary claim statically: mutate the
-lowered stream so the same writes never persist, and *exhaustive*
-frontier enumeration must find a counterexample.
+detection comes from recovery checking at sampled crash points.  Each
+such mode that is expressible as a stream mutation has a *static
+analog*: mutate the lowered stream so the same writes never persist,
+and both static checkers must fire on the result:
 
-The cross-validation asserts the static side is a **superset** of the
-dynamic side:
+* the model checker (:mod:`repro.verify`) must find a counterexample by
+  exhaustive frontier enumeration — the static side is a **superset**
+  of the dynamic side;
+* ``persist-lint`` (:mod:`repro.lint`) must raise the analog's expected
+  diagnostic code — the ordering shape is broken too.
 
-* every fault mode the campaign detects, whose damage is expressible as
-  a stream mutation (a *static analog*), must also yield a checker
-  counterexample on the mutated stream;
-* the converse failures — checker findings with no dynamic analog — are
-  triaged explicitly: value-level bugs (a corrupted log payload) are
-  invisible to the campaign's admission-drop vocabulary but caught
-  statically, which is exactly the checker's value-add.
+:data:`STREAM_ANALOGS` is the one table of analogs.  A silent checker on
+an analog mode means that checker has a hole.  The converse failures —
+checker findings with no dynamic analog — are triaged explicitly:
+value-level bugs (a corrupted log payload) are invisible to the
+campaign's admission-drop vocabulary but caught statically, which is
+exactly the checker's value-add.
 
 Modes with no static analog (``torn`` tears a line mid-drain; ATOM's
 ``drop-log`` drops entries hardware generates at retirement, which never
@@ -27,30 +29,63 @@ why the campaign continues to exist alongside the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
+from repro.core.codegen import ThreadLayout
 from repro.core.schemes import Scheme
 from repro.faults.campaign import VIOLATION_MODES, resolve_workload, run_campaign
 from repro.isa.trace import InstructionTrace
+from repro.lint.diagnostics import LintResult
 from repro.lint.mutate import drop_clwb_tagged_every, drop_log_flush_every
-from repro.lint.runner import lower_for_lint
+from repro.lint.runner import lint_instruction_trace, lower_for_lint
 from repro.verify.checker import CheckReport, verify_instruction_trace
 
-#: scheme logging style -> fault mode -> stream mutator (the static analog).
-_Mutator = Callable[[InstructionTrace], InstructionTrace]
 
-ANALOG_MUTATORS: Dict[str, Dict[str, _Mutator]] = {
+class StreamAnalog(NamedTuple):
+    """The static counterpart of one fault-campaign mode."""
+
+    #: ``mutate(trace, every)`` drops every ``every``-th matching write,
+    #: the way the fault injector drops periodically.
+    mutate: Callable[[InstructionTrace, int], InstructionTrace]
+    #: the lint code the mutated stream must raise.
+    lint_code: str
+
+
+#: scheme logging style -> fault mode -> static analog.
+STREAM_ANALOGS: Dict[str, Dict[str, StreamAnalog]] = {
     "software": {
-        "drop-log": lambda trace: drop_clwb_tagged_every(trace, "log", 1),
-        "drop-flag": lambda trace: drop_clwb_tagged_every(trace, "logflag", 1),
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        # Dropped log-area write-backs leave entries that never become
+        # durable before their data stores.
+        "drop-log": StreamAnalog(
+            lambda trace, every: drop_clwb_tagged_every(trace, "log", every),
+            "P002",
+        ),
+        # Dropped logFlag write-backs leave flag transitions unfenced.
+        "drop-flag": StreamAnalog(
+            lambda trace, every: drop_clwb_tagged_every(trace, "logflag", every),
+            "P003",
+        ),
+        "drop-data": StreamAnalog(
+            lambda trace, every: drop_clwb_tagged_every(trace, "", every),
+            "P005",
+        ),
     },
     "sshl": {
-        "drop-log": lambda trace: drop_log_flush_every(trace, 1),
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        # Dropped log-flushes remove undo coverage entirely.
+        "drop-log": StreamAnalog(
+            lambda trace, every: drop_log_flush_every(trace, every),
+            "P001",
+        ),
+        "drop-data": StreamAnalog(
+            lambda trace, every: drop_clwb_tagged_every(trace, "", every),
+            "P005",
+        ),
     },
     "hardware": {
-        "drop-data": lambda trace: drop_clwb_tagged_every(trace, "", 1),
+        "drop-data": StreamAnalog(
+            lambda trace, every: drop_clwb_tagged_every(trace, "", every),
+            "P005",
+        ),
     },
 }
 
@@ -67,11 +102,11 @@ DYNAMIC_ONLY: Dict[str, str] = {
 }
 
 
-def analog_for(scheme: Union[Scheme, str], mode: str) -> Optional[_Mutator]:
-    """The stream mutation matching fault mode ``mode`` under ``scheme``,
-    or None when the mode is dynamic-only."""
+def analog_for(scheme: Union[Scheme, str], mode: str) -> Optional[StreamAnalog]:
+    """The static analog of fault mode ``mode`` under ``scheme``, or None
+    when the mode is dynamic-only."""
     scheme = Scheme.parse(scheme)
-    return ANALOG_MUTATORS.get(scheme.logging_style, {}).get(mode)
+    return STREAM_ANALOGS.get(scheme.logging_style, {}).get(mode)
 
 
 def dynamic_only_reason(scheme: Union[Scheme, str], mode: str) -> str:
@@ -83,31 +118,86 @@ def dynamic_only_reason(scheme: Union[Scheme, str], mode: str) -> str:
 
 
 @dataclass
+class StaticVerdict:
+    """Both static checkers' verdicts on one analog-mutated stream."""
+
+    lint_code: str
+    lint: LintResult
+    verify: CheckReport
+
+    @property
+    def findings(self) -> int:
+        """Model-checker counterexamples on the mutated stream."""
+        return len(self.verify.findings)
+
+    @property
+    def lint_flagged(self) -> bool:
+        """True when lint raised the expected code at least once."""
+        return bool(self.lint.by_code(self.lint_code))
+
+
+def static_verdict(
+    scheme: Union[Scheme, str],
+    mode: str,
+    lowered: InstructionTrace,
+    layout: ThreadLayout,
+    initial_image: Optional[Dict[int, int]] = None,
+    every: int = 1,
+    budget: Optional[int] = None,
+    seed: int = 1,
+) -> StaticVerdict:
+    """Apply the static analog of ``mode`` to a lowered stream and run
+    both static checkers on the result.
+
+    The model checker stops at the first counterexample: existence is
+    what the superset claim needs.  Raises :class:`ValueError` for modes
+    without a static analog.
+    """
+    scheme = Scheme.parse(scheme)
+    analog = analog_for(scheme, mode)
+    if analog is None:
+        raise ValueError(
+            f"fault mode {mode!r} has no static analog under {scheme} "
+            f"(logging style {scheme.logging_style!r})"
+        )
+    mutated = analog.mutate(lowered, every)
+    label = f"<{mode} analog>"
+    return StaticVerdict(
+        lint_code=analog.lint_code,
+        lint=lint_instruction_trace(mutated, scheme, workload=label),
+        verify=verify_instruction_trace(
+            mutated,
+            scheme,
+            layout=layout,
+            initial_image=initial_image,
+            workload=label,
+            budget=budget,
+            seed=seed,
+            max_findings=1,
+        ),
+    )
+
+
+@dataclass
 class CrossValCase:
-    """One fault mode's verdict on both sides of the validation."""
+    """One fault mode's verdicts on both sides of the validation."""
 
     scheme: Scheme
     mode: str
     #: inconsistencies the dynamic campaign recorded.
     dynamic_inconsistent: int
-    #: whether a static analog exists for this mode.
-    has_analog: bool
-    #: checker counterexamples on the mutated stream (0 when no analog).
-    static_findings: int
+    #: both static verdicts on the analog stream (None when no analog).
+    static: Optional[StaticVerdict] = None
     #: triage note for dynamic-only modes.
     note: str = ""
-    #: the full static report, for drill-down (None when no analog).
-    static_report: Optional[CheckReport] = None
 
     @property
     def holds(self) -> bool:
-        """The superset property for this mode: anything the campaign
-        caught that has a static analog is also caught statically."""
-        if not self.has_analog:
+        """Both static checkers catch the analog, so anything the campaign
+        caught with an analog is also caught statically."""
+        if self.static is None:
             return bool(self.note)  # dynamic-only must be triaged, not silent
-        if self.dynamic_inconsistent == 0:
-            return True
-        return self.static_findings > 0
+        return self.static.findings > 0 and self.static.lint_flagged
 
 
 @dataclass
@@ -119,19 +209,21 @@ class CrossValResult:
     cases: List[CrossValCase] = field(default_factory=list)
 
     @property
-    def static_superset(self) -> bool:
+    def passed(self) -> bool:
         return all(case.holds for case in self.cases)
 
     def report(self) -> str:
         lines = [
             f"verify-crossval: scheme={self.scheme} workload={self.workload} "
-            f"-> {'PASS' if self.static_superset else 'FAIL'}"
+            f"-> {'PASS' if self.passed else 'FAIL'}"
         ]
         for case in self.cases:
-            if case.has_analog:
+            if case.static is not None:
+                lint = "hit" if case.static.lint_flagged else "MISS"
                 status = (
-                    f"dynamic={case.dynamic_inconsistent} "
-                    f"static={case.static_findings} "
+                    f"campaign={case.dynamic_inconsistent} "
+                    f"verify={case.static.findings} "
+                    f"lint={case.static.lint_code}:{lint} "
                     f"{'ok' if case.holds else 'HOLE'}"
                 )
             else:
@@ -151,10 +243,10 @@ def cross_validate(
 ) -> CrossValResult:
     """Run both sides of the validation for every violation mode.
 
-    The dynamic side runs a small crash campaign per mode; the static
-    side lowers the same workload trace, applies the mode's analog
-    mutation, and model-checks the result (stopping at the first
-    counterexample — existence is what the superset claim needs).
+    The dynamic side runs one small crash campaign per mode; the static
+    side lowers the same workload trace once and, per mode with an
+    analog, records the model checker's and the linter's verdicts on
+    the mutated stream.
     """
     scheme = Scheme.parse(scheme)
     workload_cls = resolve_workload(workload)
@@ -165,6 +257,7 @@ def cross_validate(
     (op_trace,) = generate_traces(
         workload_cls, threads=1, seed=seed, **workload_kwargs
     )
+    lowered, layout = lower_for_lint(op_trace, scheme)
     for mode in modes if modes is not None else list(VIOLATION_MODES):
         campaign = run_campaign(
             scheme,
@@ -175,38 +268,22 @@ def cross_validate(
             mode=mode,
             **workload_kwargs,
         )
-        mutator = analog_for(scheme, mode)
-        if mutator is None:
-            result.cases.append(
-                CrossValCase(
-                    scheme=scheme,
-                    mode=mode,
-                    dynamic_inconsistent=campaign.inconsistent,
-                    has_analog=False,
-                    static_findings=0,
-                    note=dynamic_only_reason(scheme, mode),
-                )
-            )
-            continue
-        lowered, layout = lower_for_lint(op_trace, scheme)
-        report = verify_instruction_trace(
-            mutator(lowered),
-            scheme,
-            layout=layout,
-            initial_image=op_trace.initial_image,
-            workload=f"<{mode} analog>",
-            budget=budget,
-            seed=seed,
-            max_findings=1,
+        case = CrossValCase(
+            scheme=scheme,
+            mode=mode,
+            dynamic_inconsistent=campaign.inconsistent,
         )
-        result.cases.append(
-            CrossValCase(
-                scheme=scheme,
-                mode=mode,
-                dynamic_inconsistent=campaign.inconsistent,
-                has_analog=True,
-                static_findings=len(report.findings),
-                static_report=report,
+        if analog_for(scheme, mode) is None:
+            case.note = dynamic_only_reason(scheme, mode)
+        else:
+            case.static = static_verdict(
+                scheme,
+                mode,
+                lowered,
+                layout,
+                initial_image=op_trace.initial_image,
+                budget=budget,
+                seed=seed,
             )
-        )
+        result.cases.append(case)
     return result

@@ -45,13 +45,6 @@ def test_experiment_subcommand(capsys):
     assert "paper" in out
 
 
-def test_crash_subcommand(capsys):
-    code = main(["crash", "--benchmark", "QE", "--ops", "6", "--init", "24",
-                 "--crashes", "20", "--scheme", "Proteus"])
-    assert code == 0
-    assert "transaction boundary" in capsys.readouterr().out
-
-
 def test_unknown_scheme_rejected(capsys):
     code = main(["run", "--scheme", "NotAScheme", "--ops", "2", "--init", "8"])
     assert code == 2
@@ -87,6 +80,29 @@ def test_faults_subcommand(capsys):
 def test_missing_subcommand_rejected():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_crash_subcommand_is_gone():
+    # Crash states are enumerated by `verify`; `crash` no longer parses.
+    with pytest.raises(SystemExit) as exc:
+        main(["crash", "--scheme", "Proteus"])
+    assert exc.value.code == 2
+
+
+def test_verify_crossval_fails_on_a_lint_miss(monkeypatch, capsys):
+    from repro.verify import STREAM_ANALOGS, StreamAnalog
+
+    hardware = STREAM_ANALOGS["hardware"]
+    # Expect a code the drop-data analog never raises under ATOM.
+    monkeypatch.setitem(
+        hardware, "drop-data", StreamAnalog(hardware["drop-data"].mutate, "P001")
+    )
+    code = main(["verify", "--crossval", "--scheme", "atom",
+                 "--init", "8", "--ops", "3", "--seed", "7"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "lint=P001:MISS" in out
 
 
 def test_faults_journal_resume_roundtrip(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.schemes import Scheme
 from repro.persistence.crash import (
+    CrashImage,
     CrashPoint,
     InvariantViolation,
     Phase,
@@ -11,6 +12,7 @@ from repro.persistence.crash import (
 )
 from repro.persistence.model import build_functional_txs, image_after, images_equal
 from repro.persistence.recovery import RecoveryError, recover, verify_atomicity
+from repro.workloads import LinkedListWorkload
 from repro.workloads.queue_wl import QueueWorkload
 
 SAFE_SCHEMES = [Scheme.PMEM, Scheme.PMEM_PCOMMIT, Scheme.ATOM,
@@ -102,6 +104,51 @@ def test_violating_the_invariant_breaks_atomicity(queue_setup):
         except RecoveryError:
             return  # atomicity violated, as expected
     pytest.fail("expected at least one inconsistent crash state")
+
+
+def test_unenforced_sw_violation_is_caught_by_recovery_check():
+    # Multi-line, multi-entry transactions (4 lines / 5+ log entries).
+    trace = LinkedListWorkload(
+        thread_id=0, seed=5, init_ops=6, sim_ops=3, elements_per_node=32
+    ).generate()
+    initial, txs = build_functional_txs(trace, Scheme.PMEM)
+    candidates = [image_after(initial, txs, i) for i in range(len(txs) + 1)]
+    caught = 0
+    for k, tx in enumerate(txs):
+        if len(tx.written_lines) < 2:
+            continue
+        # Flag clear, log absent, but half the data lines durable: the
+        # Figure-2 fences forbid this; from_machine_state must refuse it
+        # when enforcing and recovery checking must catch it otherwise.
+        half = frozenset(tx.written_lines[: len(tx.written_lines) // 2])
+        with pytest.raises(InvariantViolation):
+            CrashImage.from_machine_state(
+                Scheme.PMEM,
+                initial,
+                txs,
+                committed=k,
+                inflight_active=True,
+                durable_data_lines=half,
+                logflag=0,
+                sw_log_entries=[],
+            )
+        image = CrashImage.from_machine_state(
+            Scheme.PMEM,
+            initial,
+            txs,
+            committed=k,
+            inflight_active=True,
+            durable_data_lines=half,
+            logflag=0,
+            sw_log_entries=[],
+            enforce_invariant=False,
+        )
+        recovered = recover(image)
+        try:
+            verify_atomicity(recovered, candidates)
+        except RecoveryError:
+            caught += 1
+    assert caught >= 1
 
 
 def test_nolog_cannot_recover(queue_setup):

@@ -3,7 +3,8 @@
 Three claims, each tied to an acceptance criterion of the checker:
 
 * **soundness on clean streams** — exhaustive frontier enumeration over
-  every failure-safe scheme's correct lowering yields zero findings;
+  every failure-safe scheme's correct lowering yields zero findings, and
+  a sabotaged recovery procedure turns the same streams into findings;
 * **completeness on the verify corpus** — every known-crash-inconsistent
   stream in :data:`tests.corpus.VERIFY_CORPUS` produces a counterexample
   with a concrete minimal frontier, including at least one case the
@@ -15,6 +16,9 @@ Three claims, each tied to an acceptance criterion of the checker:
 import pytest
 
 from repro.core.schemes import Scheme
+from repro.isa.instructions import Kind
+from repro.isa.ops import Op, TxRecord
+from repro.isa.trace import OpTrace
 from repro.lint import lint_instruction_trace
 from repro.lint.runner import layout_for_thread, lower_for_lint
 from repro.verify import (
@@ -25,9 +29,37 @@ from repro.verify import (
     verify_instruction_trace,
     verify_op_traces,
 )
+from repro.workloads.queue_wl import QueueWorkload
 from tests.corpus import VERIFY_CORPUS, clean_op_trace, clean_trace
 
 FAILURE_SAFE = tuple(s for s in Scheme if s.failure_safe)
+
+
+def two_tx_trace():
+    """Two hand-written transactions that overlap on one line."""
+    trace = OpTrace(thread_id=0)
+    trace.initial_image = {0x1000: 1, 0x1040: 2, 0x1080: 3}
+    tx1 = TxRecord(txid=1)
+    tx1.body = [Op.write(0x1000, 10), Op.write(0x1040, 11)]
+    tx1.log_candidates = [(0x1000, 64), (0x1040, 64)]
+    tx2 = TxRecord(txid=2)
+    tx2.body = [Op.write(0x1040, 20), Op.write(0x1080, 21)]
+    tx2.log_candidates = [(0x1040, 64), (0x1080, 64)]
+    trace.append(tx1)
+    trace.append(tx2)
+    return trace
+
+
+def queue_seed3_trace():
+    return QueueWorkload(thread_id=0, seed=3, init_ops=8, sim_ops=3).generate()
+
+
+#: Clean op traces; the corpus trace keeps the bare scheme as its test id.
+CLEAN_INPUTS = {
+    "corpus": clean_op_trace,
+    "two-tx": two_tx_trace,
+    "queue-seed3": queue_seed3_trace,
+}
 
 
 def _verify_case(case, **kwargs):
@@ -44,16 +76,59 @@ def _verify_case(case, **kwargs):
     )
 
 
-@pytest.mark.parametrize("scheme", FAILURE_SAFE, ids=str)
-def test_clean_streams_verify_clean(scheme):
+@pytest.mark.parametrize(
+    "scheme,inputs",
+    [
+        pytest.param(
+            scheme,
+            inputs,
+            id=str(scheme) if inputs == "corpus" else f"{scheme}-{inputs}",
+        )
+        for inputs in CLEAN_INPUTS
+        for scheme in FAILURE_SAFE
+    ],
+)
+def test_clean_streams_verify_clean(scheme, inputs):
     """No false positives: the correct lowering has no bad frontier."""
-    op_trace = clean_op_trace()
+    op_trace = CLEAN_INPUTS[inputs]()
     report = verify_op_traces([op_trace], scheme)
     assert report.clean, render_text(report)
     assert report.exhaustive
     assert report.coverage == 1.0
     assert report.positions > 0
     assert report.frontiers_checked > 0
+
+
+def test_repeated_stores_to_one_block_log_it_each_time():
+    """Proteus lowering logs a 32 B block before every store to it; the
+    duplicate entries check out because recovery keeps the earliest."""
+    trace = OpTrace(thread_id=0)
+    trace.initial_image = {0x1000: 1, 0x1008: 2, 0x1010: 3}
+    tx = TxRecord(txid=1)
+    tx.body = [Op.write(0x1000, 10), Op.write(0x1008, 11), Op.write(0x1010, 12)]
+    tx.log_candidates = [(0x1000, 32)]
+    trace.append(tx)
+    lowered, _ = lower_for_lint(trace, Scheme.PROTEUS)
+    kinds = [instr.kind for instr in lowered if instr.kind is not Kind.TX_BEGIN]
+    assert kinds[:9] == [Kind.LOG_LOAD, Kind.LOG_FLUSH, Kind.STORE] * 3
+    assert {instr.addr for instr in lowered if instr.kind is Kind.LOG_FLUSH} == {
+        0x1000
+    }
+    report = verify_op_traces([trace], Scheme.PROTEUS)
+    assert report.clean, render_text(report)
+    assert report.exhaustive
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PMEM, Scheme.PROTEUS], ids=str)
+def test_sabotaged_recovery_is_caught(monkeypatch, scheme):
+    """The verdict comes from running recovery: a "recovery" that undoes
+    nothing turns the clean two-transaction stream into findings."""
+    import repro.persistence.recovery as recovery_mod
+
+    assert verify_op_traces([two_tx_trace()], scheme).clean
+    monkeypatch.setattr(recovery_mod, "recover", lambda image: dict(image.durable))
+    report = verify_op_traces([two_tx_trace()], scheme)
+    assert not report.clean
 
 
 @pytest.mark.parametrize("case", VERIFY_CORPUS, ids=lambda c: c.name)
