@@ -8,9 +8,8 @@ stall per cycle, attributed to the first blocking resource encountered.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.isa.instructions import Instruction
 from repro.isa.trace import InstructionTrace
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.stats import Stats
@@ -27,42 +26,29 @@ class Frontend:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.trace = trace
+        #: the trace's own instruction list, shared (not copied): an
+        #: instruction inserted into the trace after the machine is built
+        #: is dispatched too, so the length is never cached.
+        self.instructions = trace.instructions
         self.stats = stats
         self.core_id = core_id
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pc = 0
-        self._stalled_this_cycle: Optional[str] = None
+        #: stall cause -> its counter name, built once per cause
+        self._stall_counters: Dict[str, str] = {}
 
-    def exhausted(self) -> bool:
-        """True when the whole trace has been dispatched."""
-        return self.pc >= len(self.trace)
+    def end_cycle(self, cause: Optional[str]) -> None:
+        """Close a cycle in which nothing dispatched.
 
-    def peek(self) -> Optional[Instruction]:
-        """The next instruction to dispatch, or None at end of trace."""
-        if self.exhausted():
-            return None
-        return self.trace[self.pc]
-
-    def consume(self) -> Instruction:
-        """Dispatch the next instruction (advances the pc)."""
-        instruction = self.trace[self.pc]
-        self.pc += 1
-        return instruction
-
-    def note_stall(self, cause: str) -> None:
-        """Record the blocking cause for this cycle (first cause wins)."""
-        if self._stalled_this_cycle is None:
-            self._stalled_this_cycle = cause
-
-    def end_cycle(self, dispatched: int) -> None:
-        """Close the cycle's stall accounting.
-
-        A cycle counts as a front-end stall when nothing dispatched and
-        the trace is not exhausted.
+        It counts as a front-end stall unless the trace is exhausted, and
+        is blamed on ``cause`` (the first blocking resource), else on
+        ``"other"``.
         """
-        if dispatched == 0 and not self.exhausted():
-            cause = self._stalled_this_cycle or "other"
-            self.stats.add(f"stall.{cause}")
+        if self.pc < len(self.instructions):
+            cause = cause or "other"
+            name = self._stall_counters.get(cause)
+            if name is None:
+                name = self._stall_counters[cause] = f"stall.{cause}"
+            self.stats.counters[name] += 1
             if self.tracer.enabled:
                 self.tracer.instant("stall", cause, tid=self.core_id, pc=self.pc)
-        self._stalled_this_cycle = None

@@ -16,18 +16,14 @@ to the next memory event when every core is stalled.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.cpu.adapter import LoggingAdapter, NullAdapter
 from repro.cpu.frontend import Frontend
 from repro.cpu.store_buffer import StoreBuffer
-from repro.isa.instructions import (
-    FENCE_KINDS,
-    LOAD_QUEUE_KINDS,
-    STORE_QUEUE_KINDS,
-    Instruction,
-    Kind,
-)
+from repro.isa.instructions import Instruction, Kind
 from repro.isa.trace import InstructionTrace
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.memctrl import MemoryController
@@ -44,6 +40,22 @@ class State(enum.Enum):
     EXECUTING = 1    # issued, waiting for completion
     COMPLETED = 2    # result ready, waiting to retire
     RETIRED = 3
+
+
+# The per-cycle paths test kinds and states by identity against these
+# module constants (and queue/fence membership by the ``Kind`` flags):
+# ``kind in FROZENSET`` hashes the enum member through a Python-level
+# ``Enum.__hash__`` on every test.
+_DISPATCHED = State.DISPATCHED
+_EXECUTING = State.EXECUTING
+_COMPLETED = State.COMPLETED
+_RETIRED = State.RETIRED
+
+_ALU = Kind.ALU
+_LOAD = Kind.LOAD
+_STORE = Kind.STORE
+_CLFLUSHOPT = Kind.CLFLUSHOPT
+_PCOMMIT = Kind.PCOMMIT
 
 
 class DynInstr:
@@ -63,15 +75,14 @@ class DynInstr:
     def __init__(self, instr: Instruction, seq: int) -> None:
         self.instr = instr
         self.seq = seq
-        self.state = State.DISPATCHED
-        self.waiters: List[Callable[[], None]] = []
+        self.state = _DISPATCHED
+        #: actions to run when this instruction completes; None until a
+        #: consumer has to wait on it (most instructions never get one).
+        self.waiters: Optional[List[Callable[[], None]]] = None
         self.lr: Optional[int] = None           # Proteus log register index
         self.logq_entry = None                  # Proteus LogQ entry
         self.llt_hit = False                    # Proteus LLT filter hit
         self.log_acked = False                  # ATOM per-store log ack
-
-    def completed(self) -> bool:
-        return self.state in (State.COMPLETED, State.RETIRED)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<dyn #{self.seq} {self.instr.kind.value} {self.state.name}>"
@@ -103,12 +114,13 @@ class OooCore:
         self.adapter.bind(self)
 
         self.frontend = Frontend(trace, stats, core_id, tracer=self.tracer)
-        self.rob: List[DynInstr] = []
+        self.rob: Deque[DynInstr] = deque()
         self.store_buffer = StoreBuffer(
             config.store_buffer_drain_per_cycle, tracer=self.tracer, core_id=core_id
         )
+        #: in-flight instructions by sequence number; an instruction leaves
+        #: at retirement, so a missing producer has completed.
         self.dyn_by_seq: Dict[int, DynInstr] = {}
-        self._done_seqs: set = set()
 
         self.lq_used = 0
         self.sq_used = 0
@@ -121,7 +133,7 @@ class OooCore:
         #: outstanding demand loads (MSHR bound); loads beyond the limit
         #: queue here and issue as completions free slots.
         self._mshr_used = 0
-        self._mshr_waiters: List[DynInstr] = []
+        self._mshr_waiters: Deque[DynInstr] = deque()
         self._progress = False
         #: optional fault-injection observer with ``on_retire(core, dyn)``,
         #: called after the adapter's own retirement bookkeeping.
@@ -131,8 +143,9 @@ class OooCore:
 
     def finished(self) -> bool:
         """True when the trace has fully executed and drained."""
+        frontend = self.frontend
         return (
-            self.frontend.exhausted()
+            frontend.pc >= len(frontend.instructions)
             and not self.rob
             and self.store_buffer.is_empty()
             and self.pending_pmem == 0
@@ -140,107 +153,126 @@ class OooCore:
             and self.adapter.quiesced()
         )
 
+    def ledger(self) -> Dict[str, int]:
+        """Trace position plus every in-flight instruction and occupied
+        slot; a drained core has ``pc == trace`` and zeros elsewhere."""
+        return {
+            "pc": self.frontend.pc,
+            "trace": len(self.frontend.instructions),
+            "rob": len(self.rob),
+            "store_buffer": self.store_buffer.occupancy(),
+            "store_buffer_in_flight": self.store_buffer.in_flight(),
+            "mshr_waiters": len(self._mshr_waiters),
+            "dyn_by_seq": len(self.dyn_by_seq),
+            "lq_used": self.lq_used,
+            "sq_used": self.sq_used,
+            "mshr_used": self._mshr_used,
+            "pending_pmem": self.pending_pmem,
+            "pending_pcommits": self.pending_pcommits,
+        }
+
     def tick(self) -> bool:
         """Simulate one cycle; returns True when any progress was made."""
         self._progress = False
-        self._retire()
-        self._drain_store_buffer()
+        if self.rob:
+            self._retire()
+        if self.store_buffer.queue:
+            self._drain_store_buffer()
         self._dispatch()
         return self._progress
 
     # -- completion plumbing -------------------------------------------------------
 
     def _mark_completed(self, dyn: DynInstr) -> None:
-        if dyn.state is State.COMPLETED:
+        if dyn.state is _COMPLETED:
             return
-        dyn.state = State.COMPLETED
-        self._done_seqs.add(dyn.seq)
+        dyn.state = _COMPLETED
         self._progress = True
         if self.tracer.enabled:
             self.tracer.instant(
                 "instr", "complete", tid=self.core_id, seq=dyn.seq,
                 kind=dyn.instr.kind.value, txid=dyn.instr.txid,
             )
-        waiters, dyn.waiters = dyn.waiters, []
-        for waiter in waiters:
-            waiter()
+        waiters = dyn.waiters
+        if waiters is not None:
+            dyn.waiters = None
+            for waiter in waiters:
+                waiter()
 
     def complete_after(self, dyn: DynInstr, delay: int) -> None:
         """Schedule completion of ``dyn`` after ``delay`` cycles."""
-        self.engine.schedule(delay, lambda: self._mark_completed(dyn))
-
-    def dep_satisfied(self, dyn: DynInstr) -> bool:
-        """True when the instruction's dependence (if any) has completed."""
-        dep = dyn.instr.dep
-        return dep < 0 or dep in self._done_seqs
-
-    def _when_dep_ready(self, dyn: DynInstr, action: Callable[[], None]) -> None:
-        """Run ``action`` now or when the dependence completes."""
-        dep = dyn.instr.dep
-        if dep < 0 or dep in self._done_seqs:
-            action()
-            return
-        producer = self.dyn_by_seq.get(dep)
-        if producer is None:
-            # Producer already retired and completed.
-            action()
-            return
-        producer.waiters.append(action)
+        self.engine.schedule(delay, partial(self._mark_completed, dyn))
 
     # -- dispatch ----------------------------------------------------------------------
 
-    def _structural_stall(self, instr: Instruction) -> Optional[str]:
-        if len(self.rob) >= self.config.rob_entries:
-            return "rob"
-        if instr.kind in LOAD_QUEUE_KINDS and self.lq_used >= self.config.load_queue_entries:
-            return "lq"
-        if instr.kind in STORE_QUEUE_KINDS and self.sq_used >= self.config.store_queue_entries:
-            return "sq"
-        return None
-
     def _dispatch(self) -> None:
+        frontend = self.frontend
+        instructions = frontend.instructions
+        end = len(instructions)
+        pc = frontend.pc
+        config = self.config
+        width = config.fetch_width
+        rob_entries = config.rob_entries
+        rob = self.rob
+        dyn_by_seq = self.dyn_by_seq
+        adapter = self.adapter
+        tracer = self.tracer
+        cause: Optional[str] = None
         dispatched = 0
-        while dispatched < self.config.fetch_width:
-            instr = self.frontend.peek()
-            if instr is None:
+        while dispatched < width and pc < end:
+            instr = instructions[pc]
+            kind = instr.kind
+            if len(rob) >= rob_entries:
+                cause = "rob"
                 break
-            cause = self._structural_stall(instr)
+            in_lq = kind.in_load_queue
+            in_sq = kind.in_store_queue
+            if in_lq and self.lq_used >= config.load_queue_entries:
+                cause = "lq"
+                break
+            if in_sq and self.sq_used >= config.store_queue_entries:
+                cause = "sq"
+                break
+            dyn = DynInstr(instr, pc)
+            cause = adapter.dispatch_blocked(dyn)
             if cause is not None:
-                self.frontend.note_stall(cause)
                 break
-            dyn = DynInstr(instr, self.frontend.pc)
-            adapter_cause = self.adapter.dispatch_blocked(dyn)
-            if adapter_cause is not None:
-                self.frontend.note_stall(adapter_cause)
-                break
-            self.frontend.consume()
-            self.rob.append(dyn)
-            self.dyn_by_seq[dyn.seq] = dyn
-            if self.tracer.enabled:
-                self.tracer.instant(
+            pc += 1
+            frontend.pc = pc
+            rob.append(dyn)
+            dyn_by_seq[dyn.seq] = dyn
+            if tracer.enabled:
+                tracer.instant(
                     "instr", "dispatch", tid=self.core_id, seq=dyn.seq,
-                    kind=instr.kind.value, addr=instr.addr, txid=instr.txid,
+                    kind=kind.value, addr=instr.addr, txid=instr.txid,
                 )
-            if instr.kind in LOAD_QUEUE_KINDS:
+            if in_lq:
                 self.lq_used += 1
-            if instr.kind in STORE_QUEUE_KINDS:
+            elif in_sq:
                 self.sq_used += 1
-            self._begin_execution(dyn)
+            # Start now unless the producer is still in flight; only a
+            # real waiter gets a closure.
+            dep = instr.dep
+            producer = dyn_by_seq.get(dep) if dep >= 0 else None
+            if producer is None or producer.state is _COMPLETED:
+                self._start(dyn)
+            elif producer.waiters is None:
+                producer.waiters = [partial(self._start, dyn)]
+            else:
+                producer.waiters.append(partial(self._start, dyn))
             dispatched += 1
         if dispatched:
             self._progress = True
-            self.stats.add("dispatched_instructions", dispatched)
-        self.frontend.end_cycle(dispatched)
+            self.stats.counters["dispatched_instructions"] += dispatched
+        else:
+            frontend.end_cycle(cause)
 
     # -- execution -----------------------------------------------------------------------
 
-    def _begin_execution(self, dyn: DynInstr) -> None:
-        self._when_dep_ready(dyn, lambda: self._start(dyn))
-
     def _start(self, dyn: DynInstr) -> None:
-        if dyn.state is not State.DISPATCHED:
+        if dyn.state is not _DISPATCHED:
             return
-        dyn.state = State.EXECUTING
+        dyn.state = _EXECUTING
         self._progress = True
         if self.tracer.enabled:
             self.tracer.instant(
@@ -249,26 +281,28 @@ class OooCore:
             )
         if self.adapter.start_execute(dyn):
             return
-        kind = dyn.instr.kind
-        if kind is Kind.LOAD:
+        instr = dyn.instr
+        kind = instr.kind
+        if kind is _LOAD:
             self._issue_load(dyn)
-        elif kind is Kind.ALU:
-            self.complete_after(dyn, max(1, dyn.instr.latency))
-        elif kind is Kind.STORE:
-            # Address generation triggers the read-for-ownership prefetch
-            # so the post-retirement cache write will hit.
-            self.hierarchy.prefetch_for_store(self.core_id, dyn.instr.addr)
-            self.complete_after(dyn, 1)
+            return
+        if kind is _ALU:
+            delay = instr.latency if instr.latency > 1 else 1
         else:
+            if kind is _STORE:
+                # Address generation triggers the read-for-ownership
+                # prefetch so the post-retirement cache write will hit.
+                self.hierarchy.prefetch_for_store(self.core_id, instr.addr)
             # Stores complete at address generation; fences, tx marks and
             # flush instructions complete immediately — their semantics
             # are enforced at retirement and in the store buffer.
-            self.complete_after(dyn, 1)
+            delay = 1
+        self.complete_after(dyn, delay)
 
     def _issue_load(self, dyn: DynInstr) -> None:
         """Send a demand load to the cache, respecting the MSHR bound."""
         if self._mshr_used >= self.config.mshr_entries:
-            self.stats.add("mshr.full")
+            self.stats.counters["mshr.full"] += 1
             self._mshr_waiters.append(dyn)
             return
         self._mshr_used += 1
@@ -276,14 +310,14 @@ class OooCore:
             self.core_id,
             dyn.instr.addr,
             is_write=False,
-            on_complete=lambda: self._load_returned(dyn),
+            on_complete=partial(self._load_returned, dyn),
         )
 
     def _load_returned(self, dyn: DynInstr) -> None:
         self._mshr_used -= 1
         self._mark_completed(dyn)
         if self._mshr_waiters and self._mshr_used < self.config.mshr_entries:
-            self._issue_load(self._mshr_waiters.pop(0))
+            self._issue_load(self._mshr_waiters.popleft())
 
     # -- retirement -------------------------------------------------------------------------
 
@@ -295,7 +329,7 @@ class OooCore:
         """
         if not self.store_buffer.is_empty() or self.pending_pmem > 0:
             return True
-        if dyn.instr.kind is not Kind.PCOMMIT and self.pending_pcommits > 0:
+        if dyn.instr.kind is not _PCOMMIT and self.pending_pcommits > 0:
             return True
         return False
 
@@ -304,100 +338,101 @@ class OooCore:
         # Progress resumes at the next tick; the retire loop re-checks.
 
     def _retire(self) -> None:
+        rob = self.rob
+        adapter = self.adapter
+        tracer = self.tracer
+        counters = self.stats.counters
+        width = self.config.retire_width
         retired = 0
-        while retired < self.config.retire_width and self.rob:
-            dyn = self.rob[0]
-            if not dyn.completed():
+        while retired < width and rob:
+            dyn = rob[0]
+            if dyn.state is not _COMPLETED:
                 break
-            if dyn.instr.kind in FENCE_KINDS and self._fence_blocked(dyn):
-                self.stats.add("retire_blocked.fence")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "stall", "retire-fence", tid=self.core_id, seq=dyn.seq,
-                        kind=dyn.instr.kind.value,
-                    )
-                break
-            if self.adapter.retire_blocked(dyn):
-                self.stats.add("retire_blocked.adapter")
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "stall", "retire-adapter", tid=self.core_id, seq=dyn.seq,
-                        kind=dyn.instr.kind.value,
-                    )
-                break
-            self.rob.pop(0)
-            dyn.state = State.RETIRED
             kind = dyn.instr.kind
-            if kind in LOAD_QUEUE_KINDS:
+            if kind.is_fence and self._fence_blocked(dyn):
+                counters["retire_blocked.fence"] += 1
+                if tracer.enabled:
+                    tracer.instant(
+                        "stall", "retire-fence", tid=self.core_id, seq=dyn.seq,
+                        kind=kind.value,
+                    )
+                break
+            if adapter.retire_blocked(dyn):
+                counters["retire_blocked.adapter"] += 1
+                if tracer.enabled:
+                    tracer.instant(
+                        "stall", "retire-adapter", tid=self.core_id, seq=dyn.seq,
+                        kind=kind.value,
+                    )
+                break
+            rob.popleft()
+            dyn.state = _RETIRED
+            if kind.in_load_queue:
                 self.lq_used -= 1
-            if kind in STORE_QUEUE_KINDS:
+            elif kind.in_store_queue:
                 self.store_buffer.push(dyn)  # SQ slot freed when drained
-            if dyn.seq in self.dyn_by_seq and not dyn.waiters:
-                del self.dyn_by_seq[dyn.seq]
-            if kind is Kind.PCOMMIT:
+            del self.dyn_by_seq[dyn.seq]
+            if kind is _PCOMMIT:
                 self.pending_pcommits += 1
                 self.memctrl.notify_when_persistent(self._pcommit_done)
-            self.adapter.on_retire(dyn)
+            adapter.on_retire(dyn)
             if self.retire_observer is not None:
                 self.retire_observer.on_retire(self.core_id, dyn)
-            self.stats.add("retired_instructions")
-            if self.tracer.enabled:
-                self.tracer.instant(
+            if tracer.enabled:
+                tracer.instant(
                     "instr", "retire", tid=self.core_id, seq=dyn.seq,
                     kind=kind.value, txid=dyn.instr.txid,
                 )
             retired += 1
         if retired:
             self._progress = True
+            counters["retired_instructions"] += retired
 
     # -- store buffer drain ------------------------------------------------------------------
 
     def _drain_store_buffer(self) -> None:
-        for _ in range(self.store_buffer.drain_per_cycle):
-            head = self.store_buffer.head()
-            if head is None:
+        store_buffer = self.store_buffer
+        queue = store_buffer.queue
+        for _ in range(store_buffer.drain_per_cycle):
+            if not queue:
                 return
-            kind = head.instr.kind
-            if kind is Kind.STORE and self.adapter.store_release_blocked(
-                head.instr.addr, head.seq
+            head = queue[0]
+            instr = head.instr
+            kind = instr.kind
+            if kind is _STORE and self.adapter.store_release_blocked(
+                instr.addr, head.seq
             ):
-                self.stats.add("store_release_blocked")
+                self.stats.counters["store_release_blocked"] += 1
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "stall", "store-release", tid=self.core_id,
-                        seq=head.seq, addr=head.instr.addr,
+                        seq=head.seq, addr=instr.addr,
                     )
                 return
-            dyn = self.store_buffer.pop_head()
+            dyn = store_buffer.pop_head()
             self._progress = True
-            if kind is Kind.STORE:
+            if kind is _STORE:
                 self.hierarchy.access(
                     self.core_id,
-                    dyn.instr.addr,
+                    instr.addr,
                     is_write=True,
-                    on_complete=lambda d=dyn: self._store_written(d),
+                    on_complete=self._store_written,
                 )
             else:  # CLWB / CLFLUSHOPT
                 self.pending_pmem += 1
                 self.hierarchy.flush_line(
                     self.core_id,
-                    dyn.instr.addr,
-                    invalidate=(kind is Kind.CLFLUSHOPT),
+                    instr.addr,
+                    invalidate=(kind is _CLFLUSHOPT),
                     thread_id=self.core_id,
-                    on_durable=lambda d=dyn: self._flush_acked(d),
+                    on_durable=self._flush_acked,
                 )
 
-    def _store_written(self, dyn: DynInstr) -> None:
+    def _store_written(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
-        self._cleanup_dyn(dyn)
 
-    def _flush_acked(self, dyn: DynInstr) -> None:
+    def _flush_acked(self) -> None:
         self.store_buffer.finished()
         self.sq_used -= 1
         self.pending_pmem -= 1
-        self._cleanup_dyn(dyn)
-
-    def _cleanup_dyn(self, dyn: DynInstr) -> None:
-        if dyn.seq in self.dyn_by_seq and not dyn.waiters:
-            del self.dyn_by_seq[dyn.seq]

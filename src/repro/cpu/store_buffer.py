@@ -31,31 +31,28 @@ class StoreBuffer:
         self.drain_per_cycle = drain_per_cycle
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.core_id = core_id
-        self._queue: Deque["DynInstr"] = deque()
+        #: entries waiting to drain, oldest first
+        self.queue: Deque["DynInstr"] = deque()
         self._in_flight = 0
 
     def push(self, dyn: "DynInstr") -> None:
         """Add a just-retired store-class instruction."""
-        self._queue.append(dyn)
+        self.queue.append(dyn)
         if self.tracer.enabled:
             self.tracer.instant(
                 "queue", "sb.push", tid=self.core_id, seq=dyn.seq,
-                addr=dyn.instr.addr, occ=len(self._queue),
+                addr=dyn.instr.addr, occ=len(self.queue),
             )
-
-    def head(self) -> Optional["DynInstr"]:
-        """The oldest undrained entry, or None."""
-        return self._queue[0] if self._queue else None
 
     def pop_head(self) -> "DynInstr":
         """Remove the head for issue; caller must call :meth:`finished`
         when the issued operation completes."""
         self._in_flight += 1
-        dyn = self._queue.popleft()
+        dyn = self.queue.popleft()
         if self.tracer.enabled:
             self.tracer.instant(
                 "queue", "sb.drain", tid=self.core_id, seq=dyn.seq,
-                addr=dyn.instr.addr, occ=len(self._queue),
+                addr=dyn.instr.addr, occ=len(self.queue),
             )
         return dyn
 
@@ -65,11 +62,11 @@ class StoreBuffer:
 
     def is_empty(self) -> bool:
         """True when nothing is buffered *or* in flight (fence condition)."""
-        return not self._queue and self._in_flight == 0
+        return not self.queue and self._in_flight == 0
 
     def occupancy(self) -> int:
         """Entries waiting to drain (not counting in-flight ones)."""
-        return len(self._queue)
+        return len(self.queue)
 
     def in_flight(self) -> int:
         """Issued entries whose completion is pending."""

@@ -55,6 +55,13 @@ class Kind(enum.Enum):
     LOG_FLUSH = "log-flush"
     LOG_SAVE = "log-save"
 
+    #: per-member copies of the kind sets below, set once at import: the
+    #: timing core reads them on every dispatch and retirement, where
+    #: ``kind in FROZENSET`` would hash the member each time.
+    in_load_queue: bool
+    in_store_queue: bool
+    is_fence: bool
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Kind.{self.name}"
 
@@ -69,6 +76,12 @@ STORE_QUEUE_KINDS = frozenset({Kind.STORE, Kind.CLWB, Kind.CLFLUSHOPT})
 #: Kinds that act as retirement fences: they may not retire until all older
 #: pending persistent operations have been acknowledged.
 FENCE_KINDS = frozenset({Kind.SFENCE, Kind.MFENCE, Kind.PCOMMIT, Kind.TX_END})
+
+for _kind in Kind:
+    _kind.in_load_queue = _kind in LOAD_QUEUE_KINDS
+    _kind.in_store_queue = _kind in STORE_QUEUE_KINDS
+    _kind.is_fence = _kind in FENCE_KINDS
+del _kind
 
 
 @dataclass(frozen=True)

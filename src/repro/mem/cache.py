@@ -43,14 +43,20 @@ class Cache:
         self.sets: List["OrderedDict[int, CacheLine]"] = [
             OrderedDict() for _ in range(config.sets)
         ]
+        # Geometry and counter names, read on every fill and lookup.
+        self.line_bytes = config.line_bytes
+        self.num_sets = config.sets
+        self.ways = config.ways
+        self.evictions_counter = f"{name}.evictions"
+        self.dirty_evictions_counter = f"{name}.dirty_evictions"
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, CacheLine]":
-        index = (line_addr // self.config.line_bytes) % self.config.sets
-        return self.sets[index]
+        # lookup() and fill() inline this index: they run on every access.
+        return self.sets[(line_addr // self.line_bytes) % self.num_sets]
 
     def lookup(self, line_addr: int, update_lru: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None; refreshes recency on a hit."""
-        cache_set = self._set_for(line_addr)
+        cache_set = self.sets[(line_addr // self.line_bytes) % self.num_sets]
         line = cache_set.get(line_addr)
         if line is not None and update_lru:
             cache_set.move_to_end(line_addr)
@@ -62,18 +68,20 @@ class Cache:
         Filling a line that is already resident refreshes recency and ORs
         in the dirty bit.
         """
-        cache_set = self._set_for(line_addr)
+        cache_set = self.sets[(line_addr // self.line_bytes) % self.num_sets]
         existing = cache_set.get(line_addr)
         if existing is not None:
-            existing.dirty = existing.dirty or dirty
+            if dirty:
+                existing.dirty = True
             cache_set.move_to_end(line_addr)
             return None
         victim = None
-        if len(cache_set) >= self.config.ways:
+        if len(cache_set) >= self.ways:
             __, victim = cache_set.popitem(last=False)
-            self.stats.add(f"{self.name}.evictions")
+            counters = self.stats.counters
+            counters[self.evictions_counter] += 1
             if victim.dirty:
-                self.stats.add(f"{self.name}.dirty_evictions")
+                counters[self.dirty_evictions_counter] += 1
         cache_set[line_addr] = CacheLine(line_addr, dirty)
         return victim
 

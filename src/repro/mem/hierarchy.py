@@ -69,12 +69,17 @@ class CacheHierarchy:
 
     def _install(self, core: int, line_addr: int, dirty: bool) -> None:
         """Fill a line into L1/L2/L3, cascading any dirty victims."""
-        victim3 = self.l3.fill(line_addr)
-        self._handle_victim(victim3, None, core)
-        victim2 = self.l2[core].fill(line_addr)
-        self._handle_victim(victim2, self.l3, core)
-        victim1 = self.l1[core].fill(line_addr, dirty=dirty)
-        self._handle_victim(victim1, self.l2[core], core)
+        l3 = self.l3
+        victim = l3.fill(line_addr)
+        if victim is not None and victim.dirty:
+            self._writeback(victim.addr, core)
+        l2 = self.l2[core]
+        victim = l2.fill(line_addr)
+        if victim is not None and victim.dirty:
+            self._handle_victim(victim, l3, core)
+        victim = self.l1[core].fill(line_addr, dirty=dirty)
+        if victim is not None and victim.dirty:
+            self._handle_victim(victim, l2, core)
 
     def warm(self, core: int, line_addr: int) -> None:
         """Install a clean line functionally (no cycles) — warmup replay

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.atom import AtomAdapter
-from repro.core.codegen import CodeGenerator
+from repro.core.codegen import CodeGenerator, ThreadLayout
 from repro.core.log_area import LogArea
 from repro.core.proteus import ProteusAdapter
 from repro.core.schemes import Scheme
@@ -56,6 +56,11 @@ class SimResult:
         if self.cycles == 0:
             raise ValueError("run completed in zero cycles")
         return baseline.cycles / self.cycles
+
+
+#: :meth:`OooCore.ledger` fields that ``finished()`` does not cover and
+#: that must be zero once a run has drained.
+_AUDITED_LEDGER_FIELDS = ("lq_used", "sq_used", "mshr_used", "mshr_waiters", "dyn_by_seq")
 
 
 class Simulator:
@@ -146,21 +151,10 @@ class Simulator:
         if self.scheme.is_software:
             self.memctrl.register_log_region(layout.sw_log_base, layout.sw_log_size)
             self.memctrl.register_log_region(layout.logflag_addr, 64)
-            if warm:
-                # The circular software log wraps every few thousand
-                # transactions, so after the init fast-forward it is
-                # cache resident like the rest of the working set.
-                self._warm_lines(
-                    thread_id,
-                    (
-                        *range(
-                            layout.sw_log_base,
-                            layout.sw_log_base + layout.sw_log_size,
-                            64,
-                        ),
-                        layout.logflag_addr,
-                    ),
-                )
+        if warm:
+            warm_thread(
+                self.hierarchy, self.scheme, thread_id, layout, op_trace.warm_lines
+            )
 
         adapter = None
         if self.scheme.is_sshl or self.scheme.is_hardware:
@@ -191,8 +185,6 @@ class Simulator:
                 )
         if adapter is not None:
             adapter.tracer = self.tracer
-        if warm:
-            self._warm_lines(thread_id, op_trace.warm_lines)
 
         core = OooCore(
             core_id=thread_id,
@@ -206,12 +198,6 @@ class Simulator:
             tracer=self.tracer,
         )
         self.cores.append(core)
-
-    def _warm_lines(self, thread_id: int, lines: Iterable[int]) -> None:
-        """Install ``lines`` into ``thread_id``'s caches, one
-        :meth:`CacheHierarchy.warm` call per line in order."""
-        for line in lines:
-            self.hierarchy.warm(thread_id, line)
 
     # -- segmented execution ---------------------------------------------------------
 
@@ -295,6 +281,7 @@ class Simulator:
             engine.fast_forward(next_cycle)
         self.core_finish_cycle = engine.cycle
         self._final_drain()
+        self._audit_cores()
         self.stats.counters["cycles"] = engine.cycle
         return SimResult(
             scheme=self.scheme,
@@ -332,6 +319,34 @@ class Simulator:
                     )
                 break
 
+    def _audit_cores(self) -> None:
+        """End-of-run conservation check on every core.
+
+        The loop only exits once every core is ``finished()``: trace
+        dispatched, ROB and store buffer empty, no pending flush or
+        pcommit.  This checks the rest: no queue or MSHR slot still held,
+        no load waiting for an MSHR, no instruction left in ``dyn_by_seq``,
+        and everything dispatched also retired.  Raises ``RuntimeError``
+        with the per-core ledger on a violation.
+        """
+        problems = []
+        for core in self.cores:
+            ledger = core.ledger()
+            if any(ledger[name] for name in _AUDITED_LEDGER_FIELDS):
+                problems.append(
+                    f"core{core.core_id}: "
+                    + " ".join(f"{name}={value}" for name, value in ledger.items())
+                )
+        dispatched = self.stats.get("dispatched_instructions")
+        retired = self.stats.get("retired_instructions")
+        if dispatched != retired:
+            problems.append(f"dispatched={dispatched} retired={retired}")
+        if problems:
+            raise RuntimeError(
+                f"end-of-run core audit failed (scheme={self.scheme}): "
+                + "; ".join(problems)
+            )
+
     def _progress_report(self) -> str:
         parts = []
         for core in self.cores:
@@ -341,6 +356,31 @@ class Simulator:
                 f"+{core.store_buffer.in_flight()}inflight pmem={core.pending_pmem}"
             )
         return "; ".join(parts)
+
+
+def warm_thread(
+    hierarchy: CacheHierarchy,
+    scheme: Scheme,
+    thread_id: int,
+    layout: ThreadLayout,
+    lines: Iterable[int],
+) -> None:
+    """Install one thread's warm footprint, one
+    :meth:`CacheHierarchy.warm` call per line in order.
+
+    Software schemes first warm their whole circular log and the logFlag
+    line: the log wraps every few thousand transactions, so after the
+    init fast-forward it is cache resident like the rest of the working
+    set.  Then ``lines`` (the trace's ``warm_lines``) follow.
+    """
+    warm = hierarchy.warm
+    if scheme.is_software:
+        base = layout.sw_log_base
+        for line in range(base, base + layout.sw_log_size, 64):
+            warm(thread_id, line)
+        warm(thread_id, layout.logflag_addr)
+    for line in lines:
+        warm(thread_id, line)
 
 
 def run_trace(

@@ -43,7 +43,7 @@ from repro.parallel.cellspec import (
     canonical_json,
     repo_code_version,
 )
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Simulator, warm_thread
 from repro.snapshot.format import (
     SNAPSHOT_SCHEMA_VERSION,
     SnapshotFormatError,
@@ -186,15 +186,10 @@ def create_checkpoint(
     sim = Simulator(cell.config, cell.scheme, [])
     for workload in workloads:
         thread_id = workload.thread_id
-        layout = ThreadAddressSpace(thread_id).layout()
-        if cell.scheme.is_software:
-            # Mirror the warm pass _build_core runs for software schemes.
-            base, size = layout.sw_log_base, layout.sw_log_size
-            for line in range(base, base + size, 64):
-                sim.hierarchy.warm(thread_id, line)
-            sim.hierarchy.warm(thread_id, layout.logflag_addr)
-        for line in workload.warm_lines():
-            sim.hierarchy.warm(thread_id, line)
+        warm_thread(
+            sim.hierarchy, cell.scheme, thread_id,
+            ThreadAddressSpace(thread_id).layout(), workload.warm_lines(),
+        )
     machine = capture_machine(
         sim,
         workload_cursors={

@@ -4,9 +4,11 @@
 from repro.cpu.frontend import Frontend
 from repro.cpu.store_buffer import StoreBuffer
 from repro.cpu.ooo_core import DynInstr
-from repro.isa.instructions import alu, store
+from repro.isa.instructions import alu, load, store
 from repro.isa.trace import InstructionTrace
+from repro.sim.config import CoreConfig
 from repro.sim.stats import Stats
+from tests.test_ooo_core import build_core
 
 
 def make_frontend(n=3):
@@ -18,42 +20,48 @@ def make_frontend(n=3):
 
 
 def test_frontend_sequential_consume():
-    frontend, _ = make_frontend(3)
-    assert not frontend.exhausted()
-    seen = []
-    while not frontend.exhausted():
-        assert frontend.peek() is not None
-        seen.append(frontend.consume())
-    assert len(seen) == 3
-    assert frontend.peek() is None
+    # One instruction per cycle: the pc walks the trace in order.
+    _, stats, core = build_core([alu() for _ in range(3)], CoreConfig(fetch_width=1))
+    frontend = core.frontend
+    assert frontend.instructions is frontend.trace.instructions
+    dispatched = []
+    while frontend.pc < len(frontend.instructions):
+        assert core.tick()
+        dispatched.append(core.rob[-1].instr)
+    assert dispatched == list(frontend.trace.instructions)
+    assert stats.get("dispatched_instructions") == 3
 
 
 def test_stall_recorded_once_per_cycle_first_cause_wins():
-    frontend, stats = make_frontend(3)
-    frontend.note_stall("rob")
-    frontend.note_stall("sq")  # ignored: first cause wins
-    frontend.end_cycle(dispatched=0)
+    # After one load both the ROB and the load queue are full; the ROB is
+    # checked first, so the cycle is blamed on it alone.
+    config = CoreConfig(rob_entries=1, load_queue_entries=1)
+    _, stats, core = build_core([load(0x1000), load(0x2000)], config)
+    core.tick()
+    core.tick()
     assert stats.get("stall.rob") == 1
-    assert stats.get("stall.sq") == 0
+    assert stats.get("stall.lq") == 0
+    assert stats.frontend_stalls() == 1
 
 
 def test_no_stall_when_something_dispatched():
-    frontend, stats = make_frontend(3)
-    frontend.note_stall("rob")
-    frontend.end_cycle(dispatched=2)
+    config = CoreConfig(rob_entries=2)
+    _, stats, core = build_core([alu() for _ in range(3)], config)
+    core.tick()  # dispatches two, then the ROB is full
+    assert stats.get("dispatched_instructions") == 2
     assert stats.frontend_stalls() == 0
 
 
 def test_no_stall_when_trace_exhausted():
     frontend, stats = make_frontend(1)
-    frontend.consume()
-    frontend.end_cycle(dispatched=0)
+    frontend.pc = 1
+    frontend.end_cycle("rob")
     assert stats.frontend_stalls() == 0
 
 
 def test_unattributed_stall_counted_as_other():
     frontend, stats = make_frontend(2)
-    frontend.end_cycle(dispatched=0)
+    frontend.end_cycle(None)
     assert stats.get("stall.other") == 1
 
 
@@ -66,9 +74,9 @@ def test_store_buffer_fifo():
     a, b = _dyn(0), _dyn(1)
     buffer.push(a)
     buffer.push(b)
-    assert buffer.head() is a
+    assert buffer.queue[0] is a
     assert buffer.pop_head() is a
-    assert buffer.head() is b
+    assert buffer.queue[0] is b
 
 
 def test_store_buffer_in_flight_accounting():
@@ -83,7 +91,7 @@ def test_store_buffer_in_flight_accounting():
 
 def test_store_buffer_occupancy():
     buffer = StoreBuffer()
-    assert buffer.head() is None
+    assert buffer.occupancy() == 0
     for seq in range(3):
         buffer.push(_dyn(seq))
     assert buffer.occupancy() == 3

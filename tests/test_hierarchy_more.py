@@ -101,3 +101,35 @@ def test_accesses_from_different_cores_share_l3():
     before = stats.get("hierarchy.memory_reads")
     do_access(engine, hierarchy, 0x50000, core=1)
     assert stats.get("hierarchy.memory_reads") == before  # L3 hit, no new read
+
+
+def test_warm_thread_matches_the_line_by_line_warm_loop():
+    """The one warm pass (simulator build and functional checkpoints)
+    leaves the caches exactly as the former per-site loops did."""
+    from repro.core.schemes import Scheme
+    from repro.sim.config import fast_nvm_config
+    from repro.sim.simulator import Simulator, warm_thread
+    from repro.workloads.base import generate_traces
+    from repro.workloads.heap import ThreadAddressSpace
+    from repro.workloads.queue_wl import QueueWorkload
+
+    traces = generate_traces(QueueWorkload, threads=2, seed=3, init_ops=64, sim_ops=2)
+    config = fast_nvm_config(cores=2)
+    for scheme in (Scheme.PMEM, Scheme.PROTEUS):
+        helper = Simulator(config, scheme, [])
+        loop = Simulator(config, scheme, [])
+        for trace in traces:
+            thread_id = trace.thread_id
+            layout = ThreadAddressSpace(thread_id).layout()
+            warm_thread(helper.hierarchy, scheme, thread_id, layout, trace.warm_lines)
+            if scheme.is_software:
+                base, size = layout.sw_log_base, layout.sw_log_size
+                for line in range(base, base + size, 64):
+                    loop.hierarchy.warm(thread_id, line)
+                loop.hierarchy.warm(thread_id, layout.logflag_addr)
+            for line in trace.warm_lines:
+                loop.hierarchy.warm(thread_id, line)
+        built = Simulator(config, scheme, traces)
+        assert helper.hierarchy.state_dict() == loop.hierarchy.state_dict(), scheme
+        assert built.hierarchy.state_dict() == loop.hierarchy.state_dict(), scheme
+        assert dict(helper.stats.counters) == dict(loop.stats.counters), scheme

@@ -4,7 +4,10 @@ import pytest
 
 from repro.isa.instructions import (
     CACHE_LINE,
+    FENCE_KINDS,
+    LOAD_QUEUE_KINDS,
     LOG_GRAIN,
+    STORE_QUEUE_KINDS,
     Kind,
     cache_line_of,
     clwb,
@@ -53,6 +56,14 @@ def test_fence_classification():
     assert sfence().is_fence()
     assert tx_end(1).is_fence()
     assert not store(0x100).is_fence()
+
+
+def test_kind_flags_match_the_kind_sets():
+    # The timing core reads the flags; lint and faults read the sets.
+    for kind in Kind:
+        assert kind.in_load_queue == (kind in LOAD_QUEUE_KINDS), kind
+        assert kind.in_store_queue == (kind in STORE_QUEUE_KINDS), kind
+        assert kind.is_fence == (kind in FENCE_KINDS), kind
 
 
 def test_log_load_aligns_to_log_block():

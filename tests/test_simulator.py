@@ -177,3 +177,45 @@ def test_mid_run_halt_is_exact_and_deterministic(halt_cycle):
     assert first_sim.engine.cycle == halt_cycle
     assert dict(first_sim.stats.counters) == dict(second_sim.stats.counters)
     assert list(first_sim.stats.counters) == list(second_sim.stats.counters)
+
+
+def _sim_with_corruption(monkeypatch, corrupt):
+    """A small Proteus machine whose state ``corrupt`` damages right
+    after the final drain, before the end-of-run audit."""
+    traces = generate_traces(QueueWorkload, threads=2, seed=3, init_ops=32, sim_ops=4)
+    sim = Simulator(fast_nvm_config(cores=2), Scheme.PROTEUS, traces)
+    drain = sim._final_drain
+
+    def drain_then_corrupt():
+        drain()
+        corrupt(sim)
+
+    monkeypatch.setattr(sim, "_final_drain", drain_then_corrupt)
+    return sim
+
+
+def test_core_audit_passes_on_a_clean_run(monkeypatch):
+    sim = _sim_with_corruption(monkeypatch, lambda sim: None)
+    result = sim.run()
+    assert result.stats.get("dispatched_instructions") == result.stats.instructions()
+
+
+def test_core_audit_raises_on_a_leaked_queue_slot(monkeypatch):
+    def leak(sim):
+        sim.cores[1].lq_used += 1
+
+    sim = _sim_with_corruption(monkeypatch, leak)
+    with pytest.raises(RuntimeError, match="core audit") as raised:
+        sim.run()
+    message = str(raised.value)
+    assert "core1:" in message and "lq_used=1" in message
+    assert "core0:" not in message
+
+
+def test_core_audit_raises_on_dispatch_retire_mismatch(monkeypatch):
+    def miscount(sim):
+        sim.stats.counters["retired_instructions"] -= 1
+
+    sim = _sim_with_corruption(monkeypatch, miscount)
+    with pytest.raises(RuntimeError, match="dispatched=.* retired="):
+        sim.run()
