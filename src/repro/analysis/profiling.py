@@ -31,7 +31,6 @@ from repro.parallel.resilience import (
     ResilienceConfig,
     resilient_map,
 )
-from repro.parallel.runner import parallel_map
 from repro.sim.config import fast_nvm_config
 from repro.sim.simulator import run_trace
 
@@ -218,14 +217,15 @@ def profile_sweep(
 ) -> ProfileSweepResult:
     """Trace the scheme × workload matrix and attribute every cell.
 
-    Defaults to the five figure schemes over every benchmark.  With
-    ``jobs > 1`` the cells are traced in worker processes (only the
-    compact :class:`ProfileCell` attributions cross back — the raw event
-    streams, the memory cost driver here, stay worker-local).  With a
-    ``resilience`` config and/or a ``journal`` attached, execution goes
-    through :func:`~repro.parallel.resilience.resilient_map`: crashed or
-    stuck workers are healed, exhausted cells are quarantined (reported,
-    not fatal), and a killed sweep resumes from the journal.
+    Defaults to the five figure schemes over every benchmark.  Cells run
+    through :func:`~repro.parallel.resilience.resilient_map`; with
+    ``jobs > 1`` they are traced in worker processes (only the compact
+    :class:`ProfileCell` attributions cross back — the raw event
+    streams, the memory cost driver here, stay worker-local).  Without
+    a ``resilience`` config or ``journal`` the first failing cell
+    raises; with either attached, crashed or stuck workers are healed,
+    exhausted cells are quarantined (reported, not fatal), and a killed
+    sweep resumes from the journal.
     """
     from repro.workloads import BENCHMARK_ORDER
 
@@ -236,31 +236,26 @@ def profile_sweep(
         for workload in workloads
         for scheme in schemes
     ]
-    quarantined: List[QuarantineRecord] = []
-    if resilience is not None or journal is not None:
-        keys = [
-            f"profile:{scheme.value}:{workload}:t{threads}:s{seed}:x{scale:g}"
-            for (scheme, workload, threads, scale, seed) in items
-        ]
-        values, quarantined = resilient_map(
-            _profile_task,
-            items,
-            keys,
-            jobs=jobs,
-            config=resilience,
-            journal=journal,
-            encode=_cell_payload,
-            decode=ProfileCell.from_payload,
-            descriptions={
-                key: {"scheme": item[0].value, "workload": item[1]}
-                for key, item in zip(keys, items)
-            },
-        )
-        cells = [cell for cell in values if cell is not None]
-    else:
-        cells = parallel_map(_profile_task, items, jobs=jobs)
+    keys = [
+        f"profile:{scheme.value}:{workload}:t{threads}:s{seed}:x{scale:g}"
+        for (scheme, workload, threads, scale, seed) in items
+    ]
+    values, quarantined = resilient_map(
+        _profile_task,
+        items,
+        keys,
+        jobs=jobs,
+        config=resilience,
+        journal=journal,
+        encode=_cell_payload,
+        decode=ProfileCell.from_payload,
+        descriptions={
+            key: {"scheme": item[0].value, "workload": item[1]}
+            for key, item in zip(keys, items)
+        },
+    )
     return ProfileSweepResult(
-        cells=cells,
+        cells=[cell for cell in values if cell is not None],
         threads=threads,
         scale=scale,
         seed=seed,

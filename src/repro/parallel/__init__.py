@@ -2,19 +2,22 @@
 
 The repo's scaling layer: every evaluation sweep enumerates its cells as
 picklable :class:`CellSpec` records and hands them to a
-:class:`SweepRunner`, which fans them out over a process pool and backs
-them with an on-disk :class:`ResultCache` keyed by a stable content hash
-of (machine configuration, scheme, workload trace identity, code
-version).  Unchanged cells load instead of re-simulating; results are
-byte-identical either way.  See ``docs/architecture.md`` ("Parallel
-sweep runner") for the design and determinism guarantees.
+:class:`SweepRunner`, which backs them with an on-disk
+:class:`ResultCache` keyed by a stable content hash of (machine
+configuration, scheme, workload trace identity, code version) and runs
+the rest through :func:`run_resilient`, the one executor every sweep
+uses (inline or over a process pool).  Unchanged cells load instead of
+re-simulating; results are byte-identical either way.  See
+``docs/architecture.md`` ("Parallel sweep runner") for the design and
+determinism guarantees.
 
 Crash safety rides on three further pieces (``docs/resilience.md``): the
 write-ahead :class:`SweepJournal` makes any campaign resumable after a
-kill at any instant, :func:`run_resilient` heals crashed/stuck workers
-and quarantines poison cells instead of aborting, and
-:mod:`repro.parallel.chaos` is the seeded fault-injection harness that
-proves both under deliberately hostile conditions.
+kill at any instant, a :class:`ResilienceConfig` makes
+:func:`run_resilient` heal crashed/stuck workers and quarantine poison
+cells instead of failing fast, and :mod:`repro.parallel.chaos` is the
+seeded fault-injection harness that proves both under deliberately
+hostile conditions.
 """
 
 from repro.parallel.cache import DEFAULT_CACHE_DIR, ResultCache, default_cache_dir
@@ -59,7 +62,6 @@ from repro.parallel.runner import (
     execute_cell,
     generate_traces_cached,
     get_default_runner,
-    parallel_map,
     set_default_runner,
     traces_for,
 )
@@ -93,7 +95,6 @@ __all__ = [
     "generate_traces_cached",
     "get_default_runner",
     "last_run_report",
-    "parallel_map",
     "payload_to_result",
     "repo_code_version",
     "resilient_map",

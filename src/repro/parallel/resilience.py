@@ -1,9 +1,11 @@
 """Self-healing parallel execution: retries, timeouts, quarantine.
 
-:func:`run_resilient` is the fault-tolerant sibling of the plain pool
-fan-out in :mod:`repro.parallel.runner`.  It executes a batch of keyed
-tasks through a ``ProcessPoolExecutor`` and survives every failure mode
-the plain path dies on:
+:func:`run_resilient` is the one executor every sweep runs through:
+:class:`~repro.parallel.runner.SweepRunner`'s cells and the lint,
+verify and profile matrices alike.  It runs a batch of keyed tasks
+inline (at most one runnable task, or ``jobs == 1``, and no timeout) or
+over a ``ProcessPoolExecutor`` of ``min(jobs, runnable)`` workers, and
+survives every failure mode a worker can hit:
 
 * a **crashed worker** (segfault, OOM-kill, SIGKILL) breaks the pool and
   poisons every in-flight future — the pool is rebuilt and the in-flight
@@ -22,9 +24,14 @@ the plain path dies on:
   ``max_retries`` times with deterministic jittered exponential backoff,
   then **quarantined**: recorded in the journal with its traceback,
   reported, and never re-run — the rest of the sweep completes.
-* **KeyboardInterrupt** cancels queued futures, kills the pool's
-  processes, and re-raises promptly instead of waiting out in-flight
-  tasks.
+* **KeyboardInterrupt** — in the driver or raised by a task — cancels
+  queued futures, kills the pool's processes, and re-raises promptly
+  instead of waiting out in-flight tasks.
+
+A caller that attaches neither a :class:`ResilienceConfig` nor a journal
+gets **fail-fast** execution: one attempt per task, no quarantine, and
+the first failure raises :class:`SweepExecutionError` carrying the
+task's traceback text.
 
 When a :class:`~repro.parallel.journal.SweepJournal` is attached, every
 state transition is journaled write-ahead, finished tasks are served
@@ -90,7 +97,8 @@ class ResilienceConfig:
     ``max_retries`` counts *re*-executions: a task runs at most
     ``max_retries + 1`` times before quarantine.  ``cell_timeout`` is the
     per-attempt wall-clock budget in seconds (``None`` disables timeout
-    enforcement and lets ``jobs == 1`` batches run inline).
+    enforcement and lets a batch run inline when ``jobs == 1`` or only
+    one task is runnable).
     """
 
     cell_timeout: Optional[float] = None
@@ -114,6 +122,26 @@ class ResilienceConfig:
             f"{self.cell_timeout:g}s" if self.cell_timeout is not None else "off"
         )
         return f"timeout={timeout}, retries={self.max_retries}"
+
+
+def resilience_config(
+    cell_timeout: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    journal: Optional[SweepJournal] = None,
+) -> Optional[ResilienceConfig]:
+    """The policy ``--cell-timeout``/``--max-retries``/``--journal`` ask for.
+
+    ``None`` (fail fast) when none is given; a knob left unset takes its
+    :class:`ResilienceConfig` default.
+    """
+    if cell_timeout is None and max_retries is None and journal is None:
+        return None
+    return ResilienceConfig(
+        cell_timeout=cell_timeout,
+        max_retries=(
+            ResilienceConfig.max_retries if max_retries is None else max_retries
+        ),
+    )
 
 
 @dataclass
@@ -213,7 +241,9 @@ class _Loop:
             key=task.key, status="done", value=value, attempts=task.attempts
         )
 
-    def _quarantine(self, task: _Task) -> None:
+    def _quarantine(
+        self, task: _Task, cause: Optional[BaseException] = None
+    ) -> None:
         record = QuarantineRecord(
             key=task.key,
             attempts=task.attempts,
@@ -221,7 +251,7 @@ class _Loop:
             description=task.description,
         )
         if not self.quarantine_enabled:
-            raise SweepExecutionError(record)
+            raise SweepExecutionError(record) from cause
         if self.journal is not None:
             self.journal.mark_quarantined(task.key, task.attempts, task.last_error)
         self.quarantined.append(record)
@@ -232,13 +262,19 @@ class _Loop:
             error=task.last_error,
         )
 
-    def _record_failure(self, task: _Task, error: str) -> None:
-        """Charge one failed attempt; requeue with backoff or quarantine."""
+    def _record_failure(
+        self, task: _Task, error: str, cause: Optional[BaseException] = None
+    ) -> None:
+        """Charge one failed attempt; requeue with backoff or quarantine.
+
+        ``cause`` (the task's exception, when there is one) becomes the
+        ``__cause__`` of a fail-fast :class:`SweepExecutionError`.
+        """
         task.last_error = error
         if self.journal is not None:
             self.journal.mark_failed(task.key, task.attempts, error)
         if task.attempts > self.config.max_retries:
-            self._quarantine(task)
+            self._quarantine(task, cause)
         else:
             self.retried += 1
             task.ready_at = time.monotonic() + self.config.backoff(
@@ -287,6 +323,11 @@ class _Loop:
                     error = future.exception()
                     if error is None:
                         self._finish(task, future.result())
+                    elif not isinstance(error, Exception):
+                        # KeyboardInterrupt (or SystemExit) raised by the
+                        # task: stop the sweep exactly as a driver-side
+                        # interrupt does, never retry it.
+                        raise error
                     elif isinstance(error, BrokenProcessPool):
                         # A worker died; every in-flight future is (or is
                         # about to be) poisoned.  Requeue this task and
@@ -296,7 +337,7 @@ class _Loop:
                         task.pool_breaks += 1
                         pool_broken = True
                     else:
-                        self._record_failure(task, _format_error(error))
+                        self._record_failure(task, _format_error(error), error)
 
                 if pool_broken:
                     for future, task in list(inflight.items()):
@@ -391,8 +432,11 @@ def run_resilient(
     journal records (identity for plain-dict results).  Returns one
     :class:`CellOutcome` per distinct key.  With ``quarantine=False`` an
     exhausted task raises :class:`SweepExecutionError` instead of being
-    recorded.
+    recorded.  With neither ``config`` nor ``journal`` the run is
+    fail-fast: one attempt per task, no quarantine.
     """
+    if config is None and journal is None:
+        config, quarantine = ResilienceConfig(max_retries=0), False
     config = config if config is not None else ResilienceConfig()
     encode = encode if encode is not None else _identity_encode
     decode = decode if decode is not None else (lambda payload: dict(payload))
@@ -456,7 +500,8 @@ def run_resilient(
             runnable.append(task)
 
     if runnable:
-        if jobs <= 1 and config.cell_timeout is None:
+        loop.jobs = min(loop.jobs, len(runnable))
+        if loop.jobs == 1 and config.cell_timeout is None:
             _run_inline(loop, runnable)
         else:
             loop.run(runnable)
@@ -488,7 +533,7 @@ def last_run_report() -> RunReport:
 
 
 def _run_inline(loop: _Loop, tasks: Sequence[_Task]) -> None:
-    """Serial fallback: same retry/quarantine semantics, no pool."""
+    """Inline execution: same retry/quarantine semantics, no pool."""
     queue = list(tasks)
     loop.queue = []
     while queue:
@@ -498,8 +543,8 @@ def _run_inline(loop: _Loop, tasks: Sequence[_Task]) -> None:
             loop.journal.mark_running(task.key, task.attempts)
         try:
             value = loop.fn(task.item)
-        except Exception:
-            loop._record_failure(task, traceback.format_exc())
+        except Exception as error:
+            loop._record_failure(task, traceback.format_exc(), error)
             if loop.queue:
                 requeued = loop.queue.pop()
                 delay = requeued.ready_at - time.monotonic()
@@ -521,10 +566,11 @@ def resilient_map(
     decode: Optional[Callable[[Mapping[str, Any]], Any]] = None,
     descriptions: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> Tuple[List[Any], List[QuarantineRecord]]:
-    """Order-preserving resilient map.
+    """Order-preserving map over :func:`run_resilient`.
 
     Returns ``(values, quarantined)`` where ``values`` aligns with
-    ``items`` and quarantined positions hold ``None``.
+    ``items`` and quarantined positions hold ``None``.  Without a config
+    or journal it is fail-fast, like :func:`run_resilient`.
     """
     if len(items) != len(keys):
         raise ValueError(f"{len(items)} items but {len(keys)} keys")

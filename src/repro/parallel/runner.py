@@ -1,4 +1,4 @@
-"""Sweep execution: fan cells out over processes, backed by the cache.
+"""Sweep execution: memo, cache, then the one resilient executor.
 
 :class:`SweepRunner` is the one chokepoint through which every
 figure/table experiment, ablation, and profiling sweep runs its
@@ -11,8 +11,10 @@ it consults, in order:
    per-module dict cache did);
 2. the **on-disk content-addressed cache** (when attached) — unchanged
    cells load instead of re-simulating;
-3. **simulation** — inline when ``jobs == 1``, else fanned out over a
-   ``ProcessPoolExecutor``.
+3. **simulation** — through :func:`~repro.parallel.resilience.run_resilient`,
+   inline or over a process pool, fail-fast unless a resilience config
+   or journal is attached.  Every cell's result crosses back as its
+   canonical payload, so it has one shape whatever ``jobs`` is.
 
 Every cell is self-contained (workload regenerated from its seed inside
 the executing process, fresh ``Stats``/engine/machine per run, the
@@ -20,16 +22,12 @@ shared ``NULL_TRACER`` never rebound), so results are independent of
 batch order, of ``jobs``, and of which cells happen to share a batch —
 ``tests/test_parallel_runner.py`` shuffles cell order and compares
 byte-for-byte.
-
-:func:`parallel_map` is the generic sibling used by the profile and lint
-sweeps, whose task results are not simulation payloads.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.trace import OpTrace
 from repro.parallel.cache import ResultCache, default_cache_dir
@@ -45,14 +43,11 @@ from repro.parallel.resilience import (
     QuarantineRecord,
     ResilienceConfig,
     last_run_report,
-    pool_worker_init,
+    resilience_config,
     run_resilient,
 )
 from repro.sim.simulator import SimResult, run_trace
 from repro.workloads.base import generate_traces
-
-ItemT = TypeVar("ItemT")
-ResultT = TypeVar("ResultT")
 
 #: Per-process memo of generated traces keyed by the trace-identity part
 #: of a spec.  Traces are pure functions of this key and are treated as
@@ -144,16 +139,17 @@ def default_jobs() -> int:
 class SweepRunner:
     """Execute batches of sweep cells with memoization and caching.
 
+    Cells execute through :func:`~repro.parallel.resilience.run_resilient`.
     With a :class:`~repro.parallel.journal.SweepJournal` attached, every
     cell's lifecycle is journaled write-ahead and finished cells are
     served from the journal on resume — independently of the result
     cache surviving.  With a :class:`ResilienceConfig` attached (or any
-    journal), execution goes through the self-healing pool in
-    :mod:`repro.parallel.resilience`: per-cell timeouts, retries with
+    journal), execution self-heals: per-cell timeouts, retries with
     backoff, worker-crash recovery, and poison-cell quarantine.
     Quarantined cells come back as ``None`` in :meth:`run_cells` (and
-    are listed in :attr:`quarantined`); without quarantine the legacy
-    fail-fast behavior is unchanged.
+    are listed in :attr:`quarantined`).  With neither attached the run
+    is fail-fast: the first failing cell raises
+    :class:`~repro.parallel.resilience.SweepExecutionError`.
     """
 
     def __init__(
@@ -266,40 +262,9 @@ class SweepRunner:
     def _execute(
         self, pending: Sequence[Tuple[str, CellSpec]]
     ) -> List[Tuple[str, CellSpec, Optional[SimResult]]]:
+        """Run pending cells through :func:`run_resilient`."""
         if not pending:
             return []
-        if self.resilience is not None or self.journal is not None:
-            return self._execute_resilient(pending)
-        self.simulated += len(pending)
-        if self.jobs > 1 and len(pending) > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(pending)),
-                initializer=pool_worker_init,
-            )
-            futures = [
-                pool.submit(_simulate_cell_payload, spec.to_dict())
-                for _, spec in pending
-            ]
-            try:
-                payloads = [future.result() for future in futures]
-            except BaseException:
-                # Propagate KeyboardInterrupt (and any other failure)
-                # promptly: queued cells are cancelled instead of run,
-                # and we do not wait out in-flight ones.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown(wait=True)
-            return [
-                (key, spec, payload_to_result(payload))
-                for (key, spec), payload in zip(pending, payloads)
-            ]
-        return [(key, spec, execute_cell(spec)) for key, spec in pending]
-
-    def _execute_resilient(
-        self, pending: Sequence[Tuple[str, CellSpec]]
-    ) -> List[Tuple[str, CellSpec, Optional[SimResult]]]:
-        """Run pending cells through the self-healing executor."""
-        config = self.resilience if self.resilience is not None else ResilienceConfig()
         journal = self.journal
         code_version = (
             journal.code_version
@@ -330,7 +295,7 @@ class SweepRunner:
             _simulate_cell_payload,
             [(digests[key], spec.to_dict()) for key, spec in pending],
             jobs=self.jobs,
-            config=config,
+            config=self.resilience,
             journal=journal,
             decode=_checked_payload,
             descriptions={
@@ -438,59 +403,16 @@ def configure_default_runner(
 
     The CLI default is cache *on* (at :func:`default_cache_dir`);
     ``no_cache`` turns it off, ``cache_dir`` relocates it.  Passing a
-    journal or any resilience knob routes execution through the
-    self-healing pool (retries, timeouts, quarantine, crash recovery).
+    journal or any resilience knob makes execution self-healing
+    (retries, timeouts, quarantine, crash recovery) instead of
+    fail-fast.
     """
     cache = None if no_cache else ResultCache(cache_dir or default_cache_dir())
-    resilience: Optional[ResilienceConfig] = None
-    if cell_timeout is not None or max_retries is not None or journal is not None:
-        defaults = ResilienceConfig()
-        resilience = ResilienceConfig(
-            cell_timeout=cell_timeout,
-            max_retries=(
-                max_retries if max_retries is not None else defaults.max_retries
-            ),
-        )
     runner = SweepRunner(
         jobs=default_jobs() if jobs is None else jobs,
         cache=cache,
-        resilience=resilience,
+        resilience=resilience_config(cell_timeout, max_retries, journal),
         journal=journal,
     )
     set_default_runner(runner)
     return runner
-
-
-# ---------------------------------------------------------------------------
-# generic parallel map (profile / lint sweeps)
-# ---------------------------------------------------------------------------
-
-
-def parallel_map(
-    function: Callable[[ItemT], ResultT],
-    items: Sequence[ItemT],
-    jobs: int = 1,
-) -> List[ResultT]:
-    """Order-preserving map, fanned out over processes when ``jobs > 1``.
-
-    ``function`` must be a module-level callable and items/results must
-    be picklable (they cross the process boundary).  With ``jobs <= 1``
-    this is a plain in-process map with identical semantics.
-
-    A failure (including KeyboardInterrupt) propagates promptly: queued
-    items are cancelled rather than run, and in-flight items are not
-    waited out before the exception reaches the caller.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [function(item) for item in items]
-    pool = ProcessPoolExecutor(
-        max_workers=min(jobs, len(items)), initializer=pool_worker_init
-    )
-    futures = [pool.submit(function, item) for item in items]
-    try:
-        results = [future.result() for future in futures]
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results

@@ -1,16 +1,16 @@
 """Chaos-harness tests: directive mechanics and a mini campaign.
 
 The heavy seeded campaign (plus the driver-kill round) runs in CI's
-``chaos-smoke`` job via ``python -m repro chaos``; here we unit-test the
-injection machinery — plan files, one-shot markers, the always-firing
-poison — and run one small in-process round to hold the convergence
-contract inside the test suite too.
+``sweep-executor-smoke`` job via ``python -m repro chaos``; here we
+unit-test the injection machinery — plan files, one-shot markers, the
+always-firing poison — and run one small in-process round to hold the
+convergence contract inside the test suite too.
 """
 
 import pytest
 
 from repro.core.schemes import BASELINE, Scheme
-from repro.parallel import SweepRunner, parallel_map
+from repro.parallel import SweepRunner, resilient_map
 from repro.parallel.chaos import (
     CHAOS_PLAN_ENV,
     ChaosPoisonError,
@@ -90,8 +90,8 @@ def test_write_plan_rejects_unknown_directive(tmp_path):
 # -- KeyboardInterrupt propagation (regression) ----------------------------
 #
 # A Ctrl-C — here injected in a worker via the chaos "interrupt"
-# directive — must propagate out of the pool fan-out promptly instead of
-# being swallowed or waiting out the rest of the batch.
+# directive — must propagate out of the executor promptly instead of
+# being swallowed, retried, or waiting out the rest of the batch.
 
 
 def _interrupt_second(value):
@@ -100,9 +100,10 @@ def _interrupt_second(value):
     return value * 10
 
 
-def test_parallel_map_propagates_keyboard_interrupt():
+def test_resilient_map_propagates_keyboard_interrupt():
+    items = [0, 1, 2, 3]
     with pytest.raises(KeyboardInterrupt):
-        parallel_map(_interrupt_second, [0, 1, 2, 3], jobs=2)
+        resilient_map(_interrupt_second, items, [f"i{v}" for v in items], jobs=2)
 
 
 def test_sweep_runner_propagates_keyboard_interrupt(monkeypatch, tmp_path):

@@ -1,11 +1,12 @@
 """Sweep-runner tests: cell identity, duplicate collapsing, process
-fan-out equivalence, and cell-order independence.
+fan-out equivalence, cell-order independence, and fail-fast execution.
 
 The determinism tests here are the contract the experiment layer leans
 on: a cell's result must depend only on the cell itself — not on batch
 order, on ``jobs``, or on which cells happen to share a batch.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,12 +14,13 @@ import pytest
 from repro.core.schemes import BASELINE, Scheme
 from repro.parallel import (
     CellSpec,
+    SweepExecutionError,
     SweepRunner,
     canonical_json,
     config_from_dict,
     config_to_dict,
-    parallel_map,
     payload_to_result,
+    resilient_map,
     result_bytes,
     result_to_payload,
 )
@@ -132,7 +134,26 @@ def _square(value):
     return value * value
 
 
-def test_parallel_map_preserves_order():
+def test_resilient_map_preserves_order():
     items = list(range(7))
-    assert parallel_map(_square, items, jobs=1) == [v * v for v in items]
-    assert parallel_map(_square, items, jobs=2) == [v * v for v in items]
+    keys = [f"sq{v}" for v in items]
+    for jobs in (1, 2):
+        values, quarantined = resilient_map(_square, items, keys, jobs=jobs)
+        assert values == [v * v for v in items]
+        assert quarantined == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_runner_without_resilience_fails_fast(jobs):
+    good, spec = tiny_cells()[:2]
+    stalled = dataclasses.replace(spec, max_cycles=10)
+    runner = SweepRunner(jobs=jobs)
+    with pytest.raises(SweepExecutionError) as excinfo:
+        runner.run_cells([stalled, good])
+    record = excinfo.value.record
+    assert record.attempts == 1
+    assert record.description == stalled.describe()
+    # The cell's own error text (and traceback) survives the wrapping.
+    assert "budget" in str(excinfo.value)
+    assert "Traceback" in record.error
+    assert not runner.quarantined

@@ -13,10 +13,12 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.parallel.journal import SweepJournal
 from repro.parallel.resilience import (
     ResilienceConfig,
     SweepExecutionError,
+    _Loop,
     last_run_report,
     resilient_map,
     run_resilient,
@@ -115,6 +117,27 @@ def test_quarantine_disabled_raises(tmp_path):
     assert excinfo.value.record.key == "bad"
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fail_fast_error_chains_the_task_exception(jobs):
+    tasks = _tasks(2) + [("bad", {"value": 9, "poison": True})]
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_resilient(_fail_if_poison, tasks, jobs=jobs)
+    assert excinfo.value.record.attempts == 1
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
+    assert "poisoned" in str(excinfo.value.__cause__)
+
+
+def test_cli_reports_a_cell_value_error_as_a_usage_error(capsys):
+    # The bad budget is only checked inside the cell; the fail-fast
+    # wrapper must not turn the exit-2 diagnostic into a traceback.
+    status = main([
+        "verify", "--scheme", "proteus", "--workload", "queue",
+        "--ops", "3", "--init", "5", "--budget", "-1",
+    ])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: budget must be")
+
+
 def test_worker_sigkill_rebuilds_pool_and_completes(tmp_path):
     config = ResilienceConfig(max_retries=2, **FAST)
     tasks = _tasks(4, tmp_path, tag="k")
@@ -125,6 +148,32 @@ def test_worker_sigkill_rebuilds_pool_and_completes(tmp_path):
     # attempt (the kill died before returning, so the charged attempt
     # was rolled back on requeue).
     assert all(o.attempts == 1 for o in outcomes.values())
+
+
+def _interrupt_on_one(item):
+    if item["value"] == 1:
+        raise KeyboardInterrupt("injected")
+    return {"value": item["value"]}
+
+
+def test_worker_keyboard_interrupt_propagates_despite_retries():
+    # A task's KeyboardInterrupt is a stop request, not a failed attempt:
+    # it must not be retried and then quarantined.
+    config = ResilienceConfig(max_retries=2, **FAST)
+    with pytest.raises(KeyboardInterrupt):
+        run_resilient(_interrupt_on_one, _tasks(4), jobs=2, config=config)
+
+
+def test_single_runnable_task_runs_inline_without_a_pool(monkeypatch):
+    def no_pool(loop):
+        raise AssertionError("one runnable task must not start a pool")
+
+    monkeypatch.setattr(_Loop, "_new_pool", no_pool)
+    config = ResilienceConfig(max_retries=1, **FAST)
+    outcomes = run_resilient(_ok, _tasks(1), jobs=2, config=config)
+    assert outcomes["t0"].value == {"value": 0}
+    # Fail-fast (no config, no journal) takes the same inline path.
+    assert run_resilient(_ok, _tasks(1), jobs=4)["t0"].status == "done"
 
 
 def test_cell_timeout_kills_stuck_worker_and_retries(tmp_path):
